@@ -8,7 +8,10 @@
 //
 // `make bench` uses it to keep a dated, machine-readable log of the
 // suite's performance next to the human-readable run; -sha stamps the
-// log with the commit it measured.
+// log with the commit it measured. The log also records the host facts
+// a reader needs to interpret it later: the benchmarks' GOMAXPROCS
+// (the "-N" suffix go test appends to each name, which the keys drop),
+// and the CPU count and Go version of the host that ran the pipe.
 //
 // With -compare it instead diffs two logs and acts as a regression
 // gate:
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,11 +44,17 @@ type Result struct {
 
 // Log is the whole JSON document.
 type Log struct {
-	GoOS       string            `json:"goos,omitempty"`
-	GoArch     string            `json:"goarch,omitempty"`
-	Pkg        string            `json:"pkg,omitempty"`
-	CPU        string            `json:"cpu,omitempty"`
-	GitSHA     string            `json:"git_sha,omitempty"`
+	GoOS   string `json:"goos,omitempty"`
+	GoArch string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	GitSHA string `json:"git_sha,omitempty"`
+	// GoMaxProcs is the GOMAXPROCS of the last benchmark line (go test
+	// prints no suffix for 1); NumCPU and GoVersion describe the host
+	// and toolchain that parsed the run.
+	GoMaxProcs int               `json:"gomaxprocs,omitempty"`
+	NumCPU     int               `json:"num_cpu,omitempty"`
+	GoVersion  string            `json:"go_version,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
@@ -98,7 +108,7 @@ func run() error {
 // pkg, cpu) fill the log preamble; everything unrecognized is passed
 // through untouched.
 func parse(r io.Reader, echo io.Writer) (*Log, error) {
-	log := &Log{Benchmarks: map[string]Result{}}
+	log := &Log{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(), Benchmarks: map[string]Result{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -110,13 +120,18 @@ func parse(r io.Reader, echo io.Writer) (*Log, error) {
 		case strings.HasPrefix(line, "goarch: "):
 			log.GoArch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			log.Pkg = strings.TrimPrefix(line, "pkg: ")
+			// A multi-package run lists every package, in run order.
+			if log.Pkg != "" {
+				log.Pkg += " "
+			}
+			log.Pkg += strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "cpu: "):
 			log.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):
-			name, res, ok := parseBenchLine(line)
+			name, procs, res, ok := parseBenchLine(line)
 			if ok {
 				log.Benchmarks[name] = res
+				log.GoMaxProcs = procs
 			}
 		}
 	}
@@ -130,23 +145,24 @@ func parse(r io.Reader, echo io.Writer) (*Log, error) {
 //
 //	BenchmarkName-8   42   123456 ns/op   7.5 instr/s   16 B/op
 //
-// i.e. a name, an iteration count, then value/unit pairs.
-func parseBenchLine(line string) (string, Result, bool) {
+// i.e. a name, an iteration count, then value/unit pairs. It returns
+// the name without its GOMAXPROCS suffix, and that GOMAXPROCS.
+func parseBenchLine(line string) (string, int, Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return "", Result{}, false
+		return "", 0, Result{}, false
 	}
-	name := fields[0]
+	name, procs := fields[0], 1
 	// Trim the GOMAXPROCS suffix ("-8") so logs from machines with
 	// different core counts key identically.
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return "", Result{}, false
+		return "", 0, Result{}, false
 	}
 	res := Result{Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
@@ -163,7 +179,7 @@ func parseBenchLine(line string) (string, Result, bool) {
 	if len(res.Metrics) == 0 {
 		res.Metrics = nil
 	}
-	return name, res, true
+	return name, procs, res, true
 }
 
 // readLog loads one JSON log written by this tool.
@@ -191,6 +207,7 @@ func compareLogs(oldPath, newPath string, threshold float64, w io.Writer) error 
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(w, "old: %s\nnew: %s\n", hostFacts(oldLog), hostFacts(newLog))
 	fmt.Fprintf(w, "%-40s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
 	var regressions []string
 	for _, name := range sortedNames(newLog) {
@@ -221,6 +238,19 @@ func compareLogs(oldPath, newPath string, threshold float64, w io.Writer) error 
 	}
 	fmt.Fprintf(w, "no regressions past %.0f%%\n", threshold)
 	return nil
+}
+
+// hostFacts formats what a log records about the run that produced it;
+// a fact the log lacks (older logs predate them) shows as "?".
+func hostFacts(log *Log) string {
+	show := func(v any) any {
+		if v == "" || v == 0 {
+			return "?"
+		}
+		return v
+	}
+	return fmt.Sprintf("sha %v, GOMAXPROCS %v, %v CPUs, %v, %v",
+		show(log.GitSHA), show(log.GoMaxProcs), show(log.NumCPU), show(log.GoVersion), show(log.CPU))
 }
 
 // sortedNames is kept for tests: the JSON encoder already sorts map

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -132,5 +133,37 @@ func TestParseIgnoresMalformed(t *testing.T) {
 	}
 	if len(log.Benchmarks) != 0 {
 		t.Fatalf("parsed %v from malformed input", log.Benchmarks)
+	}
+}
+
+func TestParseRecordsHostFacts(t *testing.T) {
+	for _, tc := range []struct {
+		in    string
+		procs int
+	}{
+		{"BenchmarkStepBatch/wmi-2   10   123 ns/op   22.5 ns/event\n", 2},
+		{"BenchmarkTranslate/same-page   10   4.5 ns/op\n", 1}, // go test omits "-1"
+	} {
+		log, err := parse(strings.NewReader(tc.in), &strings.Builder{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if log.GoMaxProcs != tc.procs {
+			t.Errorf("%q: GOMAXPROCS %d, want %d", tc.in, log.GoMaxProcs, tc.procs)
+		}
+		if log.NumCPU != runtime.NumCPU() || log.GoVersion != runtime.Version() {
+			t.Errorf("host facts %d CPUs %q, want %d %q", log.NumCPU, log.GoVersion, runtime.NumCPU(), runtime.Version())
+		}
+	}
+	var out strings.Builder
+	oldPath := writeLog(t, Log{Benchmarks: map[string]Result{}})
+	newPath := writeLog(t, Log{GoMaxProcs: 2, NumCPU: 2, GoVersion: "go1.24.0", Benchmarks: map[string]Result{}})
+	if err := compareLogs(oldPath, newPath, 20, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"old: sha ?, GOMAXPROCS ?, ? CPUs", "new: sha ?, GOMAXPROCS 2, 2 CPUs, go1.24.0"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("compare output missing %q:\n%s", want, out.String())
+		}
 	}
 }

@@ -54,11 +54,12 @@ func (s *System) violation(check string, addr uint64, format string, args ...any
 // monotonicity of the lazily computed drain-completion times.
 func (s *System) checkWriteBuffer() error {
 	wb := s.wb
-	if len(wb.q) > wb.capacity {
-		return s.violation("wb-occupancy", 0, "%d entries in a %d-entry buffer", len(wb.q), wb.capacity)
+	if wb.n > len(wb.ring) {
+		return s.violation("wb-occupancy", 0, "%d entries in a %d-entry buffer", wb.n, len(wb.ring))
 	}
 	sawUncomputed := false
-	for i, e := range wb.q {
+	for i := 0; i < wb.n; i++ {
+		e := wb.at(i)
 		if e.words < 1 || e.words > s.cfg.WBEntryWords {
 			return s.violation("wb-entry-width", e.addr, "entry %d holds %d words (buffer is %dW wide)",
 				i, e.words, s.cfg.WBEntryWords)
@@ -66,9 +67,9 @@ func (s *System) checkWriteBuffer() error {
 		if e.enq > s.now {
 			return s.violation("wb-fifo", e.addr, "entry %d enqueued in the future (cycle %d)", i, e.enq)
 		}
-		if i > 0 && e.enq < wb.q[i-1].enq {
+		if i > 0 && e.enq < wb.at(i-1).enq {
 			return s.violation("wb-fifo", e.addr, "entry %d enqueued at %d, before entry %d at %d",
-				i, e.enq, i-1, wb.q[i-1].enq)
+				i, e.enq, i-1, wb.at(i-1).enq)
 		}
 		// Completion times are computed lazily for a prefix of the
 		// queue, in drain order: once one entry is uncomputed, every
@@ -84,9 +85,9 @@ func (s *System) checkWriteBuffer() error {
 			return s.violation("wb-drain-order", e.addr, "entry %d completes at %d, not after its enqueue at %d",
 				i, e.complete, e.enq)
 		}
-		if i > 0 && wb.q[i-1].complete != 0 && e.complete < wb.q[i-1].complete {
+		if i > 0 && wb.at(i-1).complete != 0 && e.complete < wb.at(i-1).complete {
 			return s.violation("wb-drain-order", e.addr, "entry %d completes at %d, before entry %d at %d",
-				i, e.complete, i-1, wb.q[i-1].complete)
+				i, e.complete, i-1, wb.at(i-1).complete)
 		}
 	}
 	return nil
@@ -223,7 +224,7 @@ func (s *System) checkStats() error {
 	// Write-buffer conservation: the queue never holds more entries than
 	// were ever enqueued, every full-buffer stall precedes an enqueue,
 	// and at most one flush event is charged per instruction.
-	if occ := uint64(len(s.wb.q)); occ > s.stats.WBEnqueues {
+	if occ := uint64(s.wb.len()); occ > s.stats.WBEnqueues {
 		return s.violation("stats-wb-enqueues", 0, "%d entries queued but only %d ever enqueued", occ, s.stats.WBEnqueues)
 	}
 	if s.stats.WBFullStalls > s.stats.WBEnqueues {

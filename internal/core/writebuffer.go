@@ -24,20 +24,33 @@ type serviceFunc func(addr uint64, words int, start uint64) uint64
 // `overlap` cycles of the L2 latency (the paper: "a stream of writes may
 // overlap one or both cycles of latency"). Completion times are computed
 // lazily so the L2 state is probed in drain order.
+//
+// The FIFO is a fixed ring of capacity slots: entry i (0 = oldest) lives
+// in slot (head+i) mod capacity, so retiring the head moves no data.
 type writeBuffer struct {
-	q        []wbEntry
-	capacity int
-	overlap  uint64
-	last     uint64 // completion cycle of the most recently drained entry
-	service  serviceFunc
+	ring    []wbEntry // capacity slots
+	head    int       // slot of the oldest entry
+	n       int       // entries queued
+	overlap uint64
+	last    uint64 // completion cycle of the most recently drained entry
+	service serviceFunc
 }
 
 func newWriteBuffer(capacity int, overlap uint64, service serviceFunc) *writeBuffer {
-	return &writeBuffer{capacity: capacity, overlap: overlap, service: service}
+	return &writeBuffer{ring: make([]wbEntry, capacity), overlap: overlap, service: service}
 }
 
-func (wb *writeBuffer) len() int   { return len(wb.q) }
-func (wb *writeBuffer) full() bool { return len(wb.q) >= wb.capacity }
+func (wb *writeBuffer) len() int   { return wb.n }
+func (wb *writeBuffer) full() bool { return wb.n >= len(wb.ring) }
+
+// at returns queue entry i, counted from the oldest (0 <= i < len).
+func (wb *writeBuffer) at(i int) *wbEntry {
+	i += wb.head
+	if i >= len(wb.ring) {
+		i -= len(wb.ring)
+	}
+	return &wb.ring[i]
+}
 
 // push appends an entry. The caller must have ensured a free slot;
 // pushing into a full buffer returns ErrWriteBufferOverflow without
@@ -45,28 +58,26 @@ func (wb *writeBuffer) full() bool { return len(wb.q) >= wb.capacity }
 func (wb *writeBuffer) push(addr uint64, words int, enq uint64) error {
 	if wb.full() {
 		return fmt.Errorf("%w: %d/%d entries at cycle %d, addr %#x",
-			ErrWriteBufferOverflow, len(wb.q), wb.capacity, enq, addr)
+			ErrWriteBufferOverflow, wb.n, len(wb.ring), enq, addr)
 	}
-	wb.q = append(wb.q, wbEntry{addr: addr, words: words, enq: enq})
+	wb.n++
+	*wb.at(wb.n - 1) = wbEntry{addr: addr, words: words, enq: enq}
 	return nil
 }
 
 // ensureComplete computes completion times for entries [0, i].
 func (wb *writeBuffer) ensureComplete(i int) {
+	prev := wb.last
 	for j := 0; j <= i; j++ {
-		e := &wb.q[j]
-		if e.complete != 0 {
-			continue
+		e := wb.at(j)
+		if e.complete == 0 {
+			start := e.enq
+			if prev > wb.overlap && prev-wb.overlap > start {
+				start = prev - wb.overlap
+			}
+			e.complete = start + wb.service(e.addr, e.words, start)
 		}
-		prev := wb.last
-		if j > 0 {
-			prev = wb.q[j-1].complete
-		}
-		start := e.enq
-		if prev > wb.overlap && prev-wb.overlap > start {
-			start = prev - wb.overlap
-		}
-		e.complete = start + wb.service(e.addr, e.words, start)
+		prev = e.complete
 	}
 }
 
@@ -74,17 +85,17 @@ func (wb *writeBuffer) ensureComplete(i int) {
 // buffer must be nonempty.
 func (wb *writeBuffer) headComplete() uint64 {
 	wb.ensureComplete(0)
-	return wb.q[0].complete
+	return wb.ring[wb.head].complete
 }
 
 // emptyCompletion returns the cycle at which the buffer will be empty:
 // the completion of the youngest entry, or now for an empty buffer.
 func (wb *writeBuffer) emptyCompletion(now uint64) uint64 {
-	if len(wb.q) == 0 {
+	if wb.n == 0 {
 		return now
 	}
-	wb.ensureComplete(len(wb.q) - 1)
-	t := wb.q[len(wb.q)-1].complete
+	wb.ensureComplete(wb.n - 1)
+	t := wb.at(wb.n - 1).complete
 	if t < now {
 		return now
 	}
@@ -92,38 +103,50 @@ func (wb *writeBuffer) emptyCompletion(now uint64) uint64 {
 }
 
 // popCompleted retires every entry whose drain has completed by now.
+// It runs after every simulated instruction, so the common case — an
+// empty buffer, or a head whose completion is already computed and
+// still in the future — returns from an inlined guard; only the drain
+// loop (retire) probes L2, lazily and in drain order.
 func (wb *writeBuffer) popCompleted(now uint64) {
-	n := 0
-	for n < len(wb.q) {
-		e := &wb.q[n]
+	if wb.n == 0 || wb.ring[wb.head].complete > now {
+		return
+	}
+	wb.retire(now)
+}
+
+// retire is popCompleted's drain loop: it pops the head while its
+// drain has completed by now. A head whose completion is still unknown
+// is computed only if it could plausibly be done (its enqueue time has
+// passed).
+func (wb *writeBuffer) retire(now uint64) {
+	for wb.n > 0 {
+		e := &wb.ring[wb.head]
 		if e.complete == 0 {
-			// Completion unknown; compute only if the entry could
-			// plausibly be done (its enqueue time has passed).
 			if e.enq > now {
-				break
+				return
 			}
-			wb.ensureComplete(n)
+			wb.ensureComplete(0)
 		}
 		if e.complete > now {
-			break
+			return
 		}
 		wb.last = e.complete
-		n++
-	}
-	if n > 0 {
-		wb.q = append(wb.q[:0], wb.q[n:]...)
+		if wb.head++; wb.head == len(wb.ring) {
+			wb.head = 0
+		}
+		wb.n--
 	}
 }
 
 // popAll retires every entry unconditionally (after a wait-for-empty or
 // flush stall has elapsed).
 func (wb *writeBuffer) popAll() {
-	if len(wb.q) == 0 {
+	if wb.n == 0 {
 		return
 	}
-	wb.ensureComplete(len(wb.q) - 1)
-	wb.last = wb.q[len(wb.q)-1].complete
-	wb.q = wb.q[:0]
+	wb.ensureComplete(wb.n - 1)
+	wb.last = wb.at(wb.n - 1).complete
+	wb.head, wb.n = 0, 0
 }
 
 // matchCompletion scans for entries that fall within the cache line
@@ -133,8 +156,8 @@ func (wb *writeBuffer) popAll() {
 func (wb *writeBuffer) matchCompletion(addr uint64, offBits uint) (completion uint64, found bool) {
 	line := addr >> offBits
 	match := -1
-	for i := range wb.q {
-		if wb.q[i].addr>>offBits == line {
+	for i := 0; i < wb.n; i++ {
+		if wb.at(i).addr>>offBits == line {
 			match = i
 		}
 	}
@@ -142,5 +165,5 @@ func (wb *writeBuffer) matchCompletion(addr uint64, offBits uint) (completion ui
 		return 0, false
 	}
 	wb.ensureComplete(match)
-	return wb.q[match].complete, true
+	return wb.at(match).complete, true
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -35,8 +37,8 @@ func TestWBStreamOverlapsLatency(t *testing.T) {
 	wb.ensureComplete(2)
 	want := []uint64{6, 10, 14}
 	for i, w := range want {
-		if wb.q[i].complete != w {
-			t.Errorf("entry %d completes at %d, want %d", i, wb.q[i].complete, w)
+		if wb.at(i).complete != w {
+			t.Errorf("entry %d completes at %d, want %d", i, wb.at(i).complete, w)
 		}
 	}
 }
@@ -46,8 +48,8 @@ func TestWBIdleEntryStartsAtEnqueue(t *testing.T) {
 	wb.push(0, 1, 0)
 	wb.push(4, 1, 100) // long gap: no overlap benefit
 	wb.ensureComplete(1)
-	if wb.q[1].complete != 106 {
-		t.Fatalf("idle entry completes at %d, want 106", wb.q[1].complete)
+	if wb.at(1).complete != 106 {
+		t.Fatalf("idle entry completes at %d, want 106", wb.at(1).complete)
 	}
 }
 
@@ -95,8 +97,8 @@ func TestWBLastCompleteCarriesAcrossPops(t *testing.T) {
 	wb.push(4, 1, 3) // enqueued while the first was still draining
 	wb.ensureComplete(0)
 	// start = max(3, 6-2) = 4, completes at 10.
-	if wb.q[0].complete != 10 {
-		t.Fatalf("completion = %d, want 10", wb.q[0].complete)
+	if wb.at(0).complete != 10 {
+		t.Fatalf("completion = %d, want 10", wb.at(0).complete)
 	}
 }
 
@@ -212,8 +214,171 @@ func TestWBServiceTimeVariation(t *testing.T) {
 	// e0: 0+6=6. e1: start max(0,6-2)=4, +149 = 153. e2: start 151, +6 = 157.
 	want := []uint64{6, 153, 157}
 	for j, w := range want {
-		if wb.q[j].complete != w {
-			t.Errorf("entry %d completes at %d, want %d", j, wb.q[j].complete, w)
+		if wb.at(j).complete != w {
+			t.Errorf("entry %d completes at %d, want %d", j, wb.at(j).complete, w)
+		}
+	}
+}
+
+// refWB is the reference write buffer of the differential test: a
+// slice FIFO whose popCompleted walks the queue on every call, with no
+// guard, and whose pops copy the survivors down.
+type refWB struct {
+	q        []wbEntry
+	capacity int
+	overlap  uint64
+	last     uint64
+	service  serviceFunc
+}
+
+func (r *refWB) ensureComplete(i int) {
+	for j := 0; j <= i; j++ {
+		e := &r.q[j]
+		if e.complete != 0 {
+			continue
+		}
+		prev := r.last
+		if j > 0 {
+			prev = r.q[j-1].complete
+		}
+		start := e.enq
+		if prev > r.overlap && prev-r.overlap > start {
+			start = prev - r.overlap
+		}
+		e.complete = start + r.service(e.addr, e.words, start)
+	}
+}
+
+func (r *refWB) popCompleted(now uint64) {
+	n := 0
+	for n < len(r.q) {
+		e := &r.q[n]
+		if e.complete == 0 {
+			if e.enq > now {
+				break
+			}
+			r.ensureComplete(n)
+		}
+		if e.complete > now {
+			break
+		}
+		r.last = e.complete
+		n++
+	}
+	r.q = append(r.q[:0], r.q[n:]...)
+}
+
+func (r *refWB) popAll() {
+	if len(r.q) > 0 {
+		r.ensureComplete(len(r.q) - 1)
+		r.last = r.q[len(r.q)-1].complete
+		r.q = r.q[:0]
+	}
+}
+
+func (r *refWB) emptyCompletion(now uint64) uint64 {
+	if len(r.q) == 0 {
+		return now
+	}
+	r.ensureComplete(len(r.q) - 1)
+	return max(r.q[len(r.q)-1].complete, now)
+}
+
+func (r *refWB) matchCompletion(addr uint64, offBits uint) (uint64, bool) {
+	match := -1
+	for i := range r.q {
+		if r.q[i].addr>>offBits == addr>>offBits {
+			match = i
+		}
+	}
+	if match < 0 {
+		return 0, false
+	}
+	r.ensureComplete(match)
+	return r.q[match].complete, true
+}
+
+// loggedService returns a service function whose time depends only on
+// its arguments — mostly an L2 hit, sometimes a memory fetch — and that
+// appends every call to log.
+func loggedService(log *[][3]uint64) serviceFunc {
+	return func(addr uint64, words int, start uint64) uint64 {
+		*log = append(*log, [3]uint64{addr, uint64(words), start})
+		cycles := 3 + (addr/4*31+start*7)%5
+		if (addr/16+start)%7 == 0 {
+			cycles += 140
+		}
+		return cycles
+	}
+}
+
+// TestWBRingMatchesReference drives the guarded ring buffer and the
+// unguarded slice reference through the same seeded operation
+// sequences — pushes, per-instruction pops, full drains, head and
+// line-match queries at an advancing clock — and requires the same
+// results, the same L2 service calls in the same order with the same
+// start cycles, and the same queue contents and completion times after
+// every operation.
+func TestWBRingMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(8)
+		overlap := uint64(rng.Intn(3))
+		var gotLog, wantLog [][3]uint64
+		wb := newWriteBuffer(capacity, overlap, loggedService(&gotLog))
+		ref := &refWB{capacity: capacity, overlap: overlap, service: loggedService(&wantLog)}
+		now := uint64(1)
+		for i := 0; i < 3000; i++ {
+			now += uint64(rng.Intn(4))
+			if rng.Intn(50) == 0 {
+				now += uint64(rng.Intn(300))
+			}
+			addr := uint64(rng.Intn(24)) * 4
+			var got, want uint64
+			var gotOK, wantOK bool
+			switch op := rng.Intn(10); {
+			case op < 4:
+				if len(ref.q) < capacity {
+					if err := wb.push(addr, 1+rng.Intn(4), now); err != nil {
+						t.Fatal(err)
+					}
+					ref.q = append(ref.q, *wb.at(wb.len() - 1))
+				}
+			case op < 7:
+				wb.popCompleted(now)
+				ref.popCompleted(now)
+			case op == 7:
+				got, want = wb.emptyCompletion(now), ref.emptyCompletion(now)
+				if rng.Intn(2) == 0 {
+					now = got
+					wb.popAll()
+					ref.popAll()
+				}
+			case op == 8:
+				if wb.len() > 0 {
+					got = wb.headComplete()
+					ref.ensureComplete(0)
+					want = ref.q[0].complete
+				}
+			default:
+				got, gotOK = wb.matchCompletion(addr, 4)
+				want, wantOK = ref.matchCompletion(addr, 4)
+			}
+			if got != want || gotOK != wantOK {
+				t.Fatalf("seed %d op %d: result %d/%v, reference %d/%v", seed, i, got, gotOK, want, wantOK)
+			}
+			if !slices.Equal(gotLog, wantLog) {
+				t.Fatalf("seed %d op %d: service calls %v, reference %v", seed, i, gotLog, wantLog)
+			}
+			if wb.len() != len(ref.q) || wb.last != ref.last {
+				t.Fatalf("seed %d op %d: %d entries (last %d), reference %d (last %d)",
+					seed, i, wb.len(), wb.last, len(ref.q), ref.last)
+			}
+			for j := range ref.q {
+				if *wb.at(j) != ref.q[j] {
+					t.Fatalf("seed %d op %d: entry %d = %+v, reference %+v", seed, i, j, *wb.at(j), ref.q[j])
+				}
+			}
 		}
 	}
 }

@@ -222,16 +222,24 @@ func (m *MMU) TranslateD(pid PID, vaddr uint32) (paddr uint64, tlbHit bool) {
 	return m.translate(m.dtlb, &m.lastD, pid, vaddr)
 }
 
+// translate serves one port. When both the port's memo and the TLB's
+// most recent access hold the page, the lookup repeats the TLB's last
+// key and is a certain hit (see TLB.Access), so it counts the hit and
+// returns the memoized frame without probing the TLB. A
+// functional-warming miss or a Flush moves the TLB's last key, so the
+// double test needs no invalidation.
 func (m *MMU) translate(tlb *TLB, tc *transCache, pid PID, vaddr uint32) (uint64, bool) {
 	vpn := vaddr >> PageShift
-	hit := tlb.Access(pid, vpn)
 	key := uint64(pid)<<32 | uint64(vpn)
-	pfn := tc.pfn
-	if tc.key != key {
-		pfn = m.frameFor(pid, vpn)
-		tc.key, tc.pfn = key, pfn
+	if key == tc.key && key == tlb.last {
+		tlb.stats.Hits++
+		return uint64(tc.pfn)<<PageShift | uint64(vaddr&OffsetMask), true
 	}
-	return uint64(pfn)<<PageShift | uint64(vaddr&OffsetMask), hit
+	hit := tlb.Access(pid, vpn)
+	if tc.key != key {
+		tc.key, tc.pfn = key, m.frameFor(pid, vpn)
+	}
+	return uint64(tc.pfn)<<PageShift | uint64(vaddr&OffsetMask), hit
 }
 
 // TranslateWarmI is TranslateI for the functional-warming fast path:

@@ -7,7 +7,7 @@ import (
 )
 
 // mustMMU builds an MMU from a known-good config.
-func mustMMU(t *testing.T, cfg Config) *MMU {
+func mustMMU(t testing.TB, cfg Config) *MMU {
 	t.Helper()
 	m, err := New(cfg)
 	if err != nil {
@@ -143,10 +143,10 @@ func TestTLBHitMissSequence(t *testing.T) {
 
 func TestTLBLRUOrder(t *testing.T) {
 	tlb := mustTLB(t, 2, 2) // 1 set x 2 ways
-	tlb.Access(1, 0)    // miss
-	tlb.Access(1, 1)    // miss
-	tlb.Access(1, 0)    // hit: 1 becomes LRU
-	tlb.Access(1, 2)    // miss: evicts 1
+	tlb.Access(1, 0)        // miss
+	tlb.Access(1, 1)        // miss
+	tlb.Access(1, 0)        // hit: 1 becomes LRU
+	tlb.Access(1, 2)        // miss: evicts 1
 	if !tlb.Access(1, 0) {
 		t.Fatal("MRU entry was evicted")
 	}

@@ -18,6 +18,7 @@ type TLB struct {
 	ways    int
 	tags    []uint64 // sets*ways; entryInvalid when empty
 	lruBits []uint8  // per set, for 2-way: which way is LRU
+	last    uint64   // key of the most recent Access; entryInvalid after Flush
 	stats   TLBStats
 }
 
@@ -60,6 +61,7 @@ func NewTLB(entries, ways int) (*TLB, error) {
 		ways:    ways,
 		tags:    make([]uint64, entries),
 		lruBits: make([]uint8, sets),
+		last:    entryInvalid,
 	}
 	for i := range t.tags {
 		t.tags[i] = entryInvalid
@@ -78,8 +80,19 @@ func (t *TLB) Stats() TLBStats { return t.stats }
 
 // Access looks up (pid, vpn), inserting it with LRU replacement on a
 // miss, and reports whether the lookup hit.
+//
+// A lookup that repeats the previous Access's key is certain to hit:
+// that access left the key resident and its way most recently used,
+// and only another Access or a Flush can change either. Touching the
+// way again would rewrite the replacement state with the value it
+// already holds, so the repeat counts its hit and skips the set scan.
 func (t *TLB) Access(pid PID, vpn uint32) bool {
 	key := uint64(pid)<<32 | uint64(vpn)
+	if key == t.last {
+		t.stats.Hits++
+		return true
+	}
+	t.last = key
 	set := vpn & (t.sets - 1)
 	base := int(set) * t.ways
 	for w := 0; w < t.ways; w++ {
@@ -125,4 +138,5 @@ func (t *TLB) Flush() {
 	for i := range t.tags {
 		t.tags[i] = entryInvalid
 	}
+	t.last = entryInvalid
 }

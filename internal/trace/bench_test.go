@@ -1,0 +1,29 @@
+package trace_test
+
+import (
+	"testing"
+
+	"repro/internal/workload"
+)
+
+// BenchmarkCursorBatch measures packed-trace replay: every member of the
+// recorded scale-1 kernel suite decoded start to finish through
+// Cursor.Batch and Skip in 4096-event batches, the way the scheduler
+// pulls events for StepBatch.
+func BenchmarkCursorBatch(b *testing.B) {
+	rec := workload.Record(1)
+	events := 0
+	for _, r := range rec {
+		events += r.Trace.Len()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range rec {
+			c := r.Trace.NewCursor()
+			for evs := c.Batch(4096); len(evs) > 0; evs = c.Batch(4096) {
+				c.Skip(len(evs))
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+}
