@@ -15,15 +15,16 @@ test:
 
 # bench: run the suite — including the one-pass screening pair
 # (BenchmarkOnePassGrid vs BenchmarkExactGridConfigByConfig) and the
-# per-layer benchmarks of the exact path (trace decode, MMU translation,
-# core StepBatch) — and keep a dated machine-readable log of the results
-# (name -> ns/op + reported metrics, plus the host's GOMAXPROCS, CPU
-# count and Go version), stamped with the commit it measured ("-dirty"
-# when the tree had uncommitted changes), next to the console output.
-# Gate a change with:
+# per-layer benchmarks (trace decode, MMU translation, core StepBatch,
+# stackdist Analyze) — and keep a dated machine-readable log of the
+# results (name -> ns/op + reported metrics, plus the host's GOMAXPROCS,
+# CPU count and Go version), stamped with the commit it measured
+# ("-dirty" when the tree had uncommitted changes), next to the console
+# output. benchjson refuses to replace an existing log, so a second run
+# on one date fails before it starts. Gate a change with:
 #   go run ./cmd/benchjson -compare BENCH_<old>.json BENCH_<new>.json
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/trace ./internal/mmu ./internal/core | $(GO) run ./cmd/benchjson \
+	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/trace ./internal/mmu ./internal/core ./internal/stackdist | $(GO) run ./cmd/benchjson \
 		-sha "$$(git describe --always --dirty 2>/dev/null || echo unknown)" \
 		-o BENCH_$$(date +%Y-%m-%d).json
 

@@ -3,8 +3,15 @@
 // to stdout (so it sits transparently in a pipe), and writes one JSON
 // document mapping each benchmark name to its iteration count, ns/op,
 // and any extra ReportMetric values (instr/s, configs, B/op, ...).
+// A benchmark that ran more than once (go test -count N) is recorded as
+// the median ns/op and the median of each metric over its runs, with
+// the run count, so one noisy run cannot stand for the benchmark.
 //
-//	go test -bench=. -benchmem | benchjson -o BENCH_2026-08-06.json
+//	go test -bench=. -benchmem -count 5 | benchjson -o BENCH_2026-08-06.json
+//
+// -o never replaces an existing file: a committed log is a record of
+// the commit it measured, so a second run on the same date must be
+// written under another name.
 //
 // `make bench` uses it to keep a dated, machine-readable log of the
 // suite's performance next to the human-readable run; -sha stamps the
@@ -18,8 +25,9 @@
 //
 //	benchjson -compare BENCH_old.json BENCH_new.json
 //
-// prints the per-benchmark ns/op deltas and exits nonzero when any
-// benchmark slowed down by more than -threshold percent (default 20).
+// prints the per-benchmark deltas of the median ns/op and exits nonzero
+// when any benchmark slowed down by more than -threshold percent
+// (default 20).
 package main
 
 import (
@@ -35,11 +43,16 @@ import (
 	"strings"
 )
 
-// Result is the parsed record of one benchmark line.
+// Result is the parsed record of one benchmark: its result line, or
+// the medians of its result lines when it ran more than once.
 type Result struct {
+	// Iterations is the total over the runs.
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	// Runs is how many result lines the medians are over (logs written
+	// before repeated runs were folded leave it 0, meaning one).
+	Runs int `json:"runs,omitempty"`
 }
 
 // Log is the whole JSON document.
@@ -82,6 +95,12 @@ func run() error {
 		return compareLogs(flag.Arg(0), flag.Arg(1), *threshold, os.Stdout)
 	}
 
+	// Refuse an existing -o file before the benchmarks run, not after.
+	if *out != "" {
+		if _, err := os.Stat(*out); err == nil {
+			return fmt.Errorf("%s already exists; write the log under a new name", *out)
+		}
+	}
 	log, err := parse(os.Stdin, os.Stdout)
 	if err != nil {
 		return err
@@ -96,19 +115,38 @@ func run() error {
 		_, err := os.Stdout.Write(data)
 		return err
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		return fmt.Errorf("writing log: %w", err)
+	if err := createLog(*out, data); err != nil {
+		return err
 	}
 	fmt.Println("wrote", *out)
 	return nil
 }
 
+// createLog writes data to a new file at path, failing if the path
+// already exists.
+func createLog(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return fmt.Errorf("writing log: %w", err)
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return fmt.Errorf("writing log: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("writing log: %w", err)
+	}
+	return nil
+}
+
 // parse scans benchmark output from r, echoing every line to echo, and
-// collects the Benchmark* result lines. Header lines (goos, goarch,
-// pkg, cpu) fill the log preamble; everything unrecognized is passed
-// through untouched.
+// collects the Benchmark* result lines, folding each benchmark's
+// repeated lines into medians. Header lines (goos, goarch, pkg, cpu)
+// fill the log preamble; everything unrecognized is passed through
+// untouched.
 func parse(r io.Reader, echo io.Writer) (*Log, error) {
 	log := &Log{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(), Benchmarks: map[string]Result{}}
+	runs := map[string][]Result{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -130,7 +168,7 @@ func parse(r io.Reader, echo io.Writer) (*Log, error) {
 		case strings.HasPrefix(line, "Benchmark"):
 			name, procs, res, ok := parseBenchLine(line)
 			if ok {
-				log.Benchmarks[name] = res
+				runs[name] = append(runs[name], res)
 				log.GoMaxProcs = procs
 			}
 		}
@@ -138,7 +176,43 @@ func parse(r io.Reader, echo io.Writer) (*Log, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("reading benchmark output: %w", err)
 	}
+	for name, rs := range runs {
+		log.Benchmarks[name] = fold(rs)
+	}
 	return log, nil
+}
+
+// fold reduces one benchmark's result lines to their medians.
+func fold(rs []Result) Result {
+	res := Result{Runs: len(rs)}
+	ns := make([]float64, len(rs))
+	metrics := map[string][]float64{}
+	for i, r := range rs {
+		res.Iterations += r.Iterations
+		ns[i] = r.NsPerOp
+		for unit, v := range r.Metrics {
+			metrics[unit] = append(metrics[unit], v)
+		}
+	}
+	res.NsPerOp = median(ns)
+	if len(metrics) > 0 {
+		res.Metrics = make(map[string]float64, len(metrics))
+		for unit, vs := range metrics {
+			res.Metrics[unit] = median(vs)
+		}
+	}
+	return res
+}
+
+// median is the middle value of vs (the mean of the middle two for an
+// even count); vs is sorted in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseBenchLine parses one result line of the form
@@ -195,9 +269,10 @@ func readLog(path string) (*Log, error) {
 	return &log, nil
 }
 
-// compareLogs diffs two logs by ns/op and fails on regressions past the
-// threshold. Benchmarks present on only one side are reported but never
-// fail the gate: adding or retiring a benchmark is not a regression.
+// compareLogs diffs two logs by median ns/op and fails on regressions
+// past the threshold. Benchmarks present on only one side are reported
+// but never fail the gate: adding or retiring a benchmark is not a
+// regression.
 func compareLogs(oldPath, newPath string, threshold float64, w io.Writer) error {
 	oldLog, err := readLog(oldPath)
 	if err != nil {
@@ -209,6 +284,7 @@ func compareLogs(oldPath, newPath string, threshold float64, w io.Writer) error 
 	}
 	fmt.Fprintf(w, "old: %s\nnew: %s\n", hostFacts(oldLog), hostFacts(newLog))
 	fmt.Fprintf(w, "%-40s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
+	fmt.Fprintln(w, "(ns/op is each log's median over the benchmark's runs)")
 	var regressions []string
 	for _, name := range sortedNames(newLog) {
 		nr := newLog.Benchmarks[name]

@@ -58,6 +58,48 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseFoldsRepeatedRuns feeds three runs of one benchmark (go test
+// -count 3) and checks the log keeps the median ns/op and median of
+// each metric, the run count and the total iterations, not the last
+// line.
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	in := `BenchmarkAnalyze/paper-2   20   41000000 ns/op   41.0 ns/event
+BenchmarkAnalyze/paper-2   20   39000000 ns/op   39.0 ns/event
+BenchmarkAnalyze/paper-2   18   55000000 ns/op   55.0 ns/event
+BenchmarkOnce-2   5   100 ns/op
+`
+	log, err := parse(strings.NewReader(in), &strings.Builder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := log.Benchmarks["BenchmarkAnalyze/paper"]
+	want := Result{Iterations: 58, NsPerOp: 41000000, Metrics: map[string]float64{"ns/event": 41}, Runs: 3}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("folded runs = %+v, want %+v", got, want)
+	}
+	if once := log.Benchmarks["BenchmarkOnce"]; once.Runs != 1 || once.NsPerOp != 100 {
+		t.Errorf("single run = %+v, want runs 1 and its own ns/op", once)
+	}
+	if m := median([]float64{4, 1, 3, 2}); m != 2.5 {
+		t.Errorf("median of an even count = %g, want 2.5", m)
+	}
+}
+
+// TestCreateLogRefusesExisting checks -o cannot replace a log: a second
+// bench run on the same date must not overwrite the committed one.
+func TestCreateLogRefusesExisting(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_2026-10-17.json")
+	if err := createLog(path, []byte("first\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := createLog(path, []byte("second\n")); err == nil {
+		t.Error("createLog replaced an existing log")
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "first\n" {
+		t.Errorf("existing log now %q (%v), want it untouched", data, err)
+	}
+}
+
 // writeLog marshals a Log to a temp file for compare tests.
 func writeLog(t *testing.T, log Log) string {
 	t.Helper()

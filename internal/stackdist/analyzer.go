@@ -44,6 +44,13 @@ type Analyzer struct {
 	instructions uint64
 	maxPID       int
 
+	// Fetch line run: fetchShift turns a fetch address into its line
+	// number at the finer of the filter L1-I and grid L1-I line sizes,
+	// and lastFetch is the previous fetch's PID<<32 | virtual line
+	// (noLine before the first fetch).
+	fetchShift uint
+	lastFetch  uint64
+
 	filter FilterStats
 }
 
@@ -58,17 +65,19 @@ func New(cfg Config) (*Analyzer, error) {
 		return nil, fmt.Errorf("stackdist: MMU: %w", err)
 	}
 	a := &Analyzer{
-		cfg:    cfg,
-		mmu:    m,
-		policy: cfg.FilterPolicy,
-		fl1i:   newFilterCache(cfg.FilterL1I),
-		fl1d:   newFilterCache(cfg.FilterL1D),
+		cfg:       cfg,
+		mmu:       m,
+		policy:    cfg.FilterPolicy,
+		fl1i:      newFilterCache(cfg.FilterL1I),
+		fl1d:      newFilterCache(cfg.FilterL1D),
+		lastFetch: noLine,
 	}
 	a.classes[ClassL1I] = newClassAnalyzer(ClassL1I, cfg.L1I)
 	a.classes[ClassL1D] = newClassAnalyzer(ClassL1D, cfg.L1D)
 	a.classes[ClassL2U] = newClassAnalyzer(ClassL2U, cfg.L2)
 	a.classes[ClassL2I] = newClassAnalyzer(ClassL2I, cfg.L2)
 	a.classes[ClassL2D] = newClassAnalyzer(ClassL2D, cfg.L2)
+	a.fetchShift = min(a.fl1i.offBits, a.classes[ClassL1I].offBits)
 	return a, nil
 }
 
@@ -121,11 +130,25 @@ func (a *Analyzer) step(pid mmu.PID, ev *trace.Event) {
 // fetchInstruction mirrors System.fetchInstruction without timing: the
 // L1-I stream feeds the ClassL1I stacks, and filter misses feed the
 // instruction side of the L2 stream.
+//
+// A fetch from the same virtual line as the previous fetch, by the
+// same PID, only counts: its line is on top of every L1-I stack and
+// resident and most recent in the filter L1-I, because data references
+// touch neither, so translation, the filter probe and the walk would
+// change nothing. It lands in bucket 0 of the first grid, which the
+// snapshot's prefix sum carries to the rest. Virtual line identity is
+// sound because a line never spans a page.
 func (a *Analyzer) fetchInstruction(pid mmu.PID, vaddr uint32) {
-	paddr, _ := a.mmu.TranslateI(pid, vaddr)
 	p := int(pid)
-	a.classes[ClassL1I].access(paddr, false, p)
 	a.filter.L1IAccesses++
+	key := uint64(pid)<<32 | uint64(vaddr>>a.fetchShift)
+	if key == a.lastFetch {
+		a.classes[ClassL1I].grids[0].count(0, false, p)
+		return
+	}
+	a.lastFetch = key
+	paddr, _ := a.mmu.TranslateI(pid, vaddr)
+	a.classes[ClassL1I].access(paddr, false, p)
 	f := a.fl1i
 	line := f.lineAddr(paddr)
 	if slot := f.find(line); slot >= 0 && f.flags[slot]&fValid != 0 {

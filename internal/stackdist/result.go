@@ -122,9 +122,10 @@ func (r *Result) SplitL2Counts(bankSizeWords, ways int) (GridCounts, bool) {
 	}, true
 }
 
-// Result snapshots the analyzer's histograms. It may be called
-// mid-pass (the repeat fast path is flushed first); the returned
-// slices are copies and stay stable if the pass continues.
+// Result snapshots the analyzer's histograms. It only reads analyzer
+// state, so it may be called mid-pass without changing the final
+// result; the returned slices are copies and stay stable if the pass
+// continues.
 func (a *Analyzer) Result() *Result {
 	res := &Result{
 		Instructions:  a.instructions,
@@ -132,20 +133,24 @@ func (a *Analyzer) Result() *Result {
 		Filter:        a.filter,
 	}
 	for i, c := range a.classes {
-		c.flushRepeats()
 		res.Classes[i] = c.snapshot(a.maxPID)
 	}
 	return res
 }
 
 // snapshot copies the class's histograms, trimming per-process rows to
-// the highest PID seen.
+// the highest PID seen. A walk that stops at a grid puts the reference
+// at distance 0 in every finer grid too, so each grid's bucket 0 —
+// totals and per-process rows alike — is the running sum of bucket 0
+// over the grids up to and including it.
 func (c *classAnalyzer) snapshot(maxPID int) ClassResult {
 	cr := ClassResult{
 		Class:     c.class,
 		LineWords: c.lineWords,
 		Grids:     make([]Histogram, len(c.grids)),
 	}
+	var reads0, writes0 uint64
+	pid0 := make([]uint64, maxPID+1)
 	for i, g := range c.grids {
 		h := Histogram{
 			Sets:   g.sets,
@@ -154,11 +159,16 @@ func (c *classAnalyzer) snapshot(maxPID int) ClassResult {
 			Writes: append([]uint64(nil), g.writes...),
 			PerPID: make([][]uint64, maxPID+1),
 		}
+		reads0 += g.reads[0]
+		writes0 += g.writes[0]
+		h.Reads[0], h.Writes[0] = reads0, writes0
 		stride := g.depth + 1
-		for p := 0; p <= maxPID; p++ {
-			h.PerPID[p] = append([]uint64(nil), g.perPID[p*stride:(p+1)*stride]...)
+		for p := 1; p <= maxPID; p++ { // PID 0 is never scheduled
+			row := append([]uint64(nil), g.perPID[p*stride:(p+1)*stride]...)
+			pid0[p] += row[0]
+			row[0] = pid0[p]
+			h.PerPID[p] = row
 		}
-		h.PerPID[0] = nil // PID 0 is never scheduled
 		cr.Grids[i] = h
 	}
 	return cr

@@ -215,9 +215,9 @@ func log2(v uint64) uint {
 	return uint(bits.Len64(v)) - 1
 }
 
-// noLine marks an empty stack slot (and the "no previous reference"
-// state of a class's repeat fast path). Physical line addresses are
-// tiny by comparison, so it can never collide with a real line.
+// noLine marks an empty stack slot (and the "no previous fetch" state
+// of the analyzer's fetch line run). Line addresses and fetch keys are
+// tiny by comparison, so it can never collide with a real one.
 const noLine = ^uint64(0)
 
 // maxPIDs bounds the per-process histograms: mmu.PID is 8 bits.
@@ -232,7 +232,9 @@ const maxPIDs = 256
 // depth — whether it was pushed off the truncated stack or never seen
 // — misses in all of them, and lands in the overflow bucket (index
 // depth of the histograms). depth is the largest way count the grid
-// asks about at this set count, so truncation loses nothing.
+// asks about at this set count, so truncation loses nothing. Bucket 0
+// counts only the references whose walk stopped at this grid (see
+// classAnalyzer.access); the coarser grids' stops are added on read.
 type gridStacks struct {
 	sets    int
 	setMask uint64
@@ -259,11 +261,11 @@ func newGridStacks(sets, depth int) *gridStacks {
 	return g
 }
 
-// access records one reference to line and updates the set's stack.
-// This is the analyzer's hottest loop after the repeat fast path; the
-// set arithmetic is hoisted and the scan runs over a subslice like
-// core's cache.find.
-func (g *gridStacks) access(line uint64, write bool, pid int) {
+// access records one reference to line, updates the set's stack, and
+// reports whether the line was already on top of it (distance 0).
+// This is the analyzer's hottest loop; the set arithmetic is hoisted
+// and the scan runs over a subslice like core's cache.find.
+func (g *gridStacks) access(line uint64, write bool, pid int) bool {
 	base := int(line&g.setMask) * g.depth
 	st := g.stacks[base : base+g.depth]
 	d := 0
@@ -283,6 +285,12 @@ func (g *gridStacks) access(line uint64, write bool, pid int) {
 		}
 		st[0] = line
 	}
+	g.count(d, write, pid)
+	return d == 0
+}
+
+// count adds one reference at distance d to the histograms.
+func (g *gridStacks) count(d int, write bool, pid int) {
 	if write {
 		g.writes[d]++
 	} else {
@@ -297,15 +305,7 @@ type classAnalyzer struct {
 	class     Class
 	lineWords int
 	offBits   uint
-	grids     []*gridStacks
-
-	// Repeat fast path: a reference to the same line as the previous
-	// reference of this class is at distance 0 in every grid (the line
-	// is MRU everywhere), so it only bumps counters. Instruction
-	// fetches walk lines sequentially, making this the common case.
-	lastLine            uint64
-	lastPID             int
-	repReads, repWrites uint64
+	grids     []*gridStacks // ascending set count
 }
 
 func newClassAnalyzer(class Class, spec GridSpec) *classAnalyzer {
@@ -313,7 +313,6 @@ func newClassAnalyzer(class Class, spec GridSpec) *classAnalyzer {
 		class:     class,
 		lineWords: spec.LineWords,
 		offBits:   log2(uint64(spec.LineWords * trace.WordBytes)),
-		lastLine:  noLine,
 	}
 	// Collect the distinct set counts of the grid; each tracks stacks
 	// deep enough for the largest associativity asked about at that
@@ -347,34 +346,22 @@ func newClassAnalyzer(class Class, spec GridSpec) *classAnalyzer {
 }
 
 // access records one reference to the line containing addr.
+//
+// The walk runs from the fewest sets to the most and stops at the
+// first grid whose set already holds the line on top. That is exact:
+// set counts are powers of two, so each grid's sets refine the
+// previous grid's — the line's set in a finer grid holds a subset of
+// the lines of its coarser set. The line is the most recent reference
+// among the coarse set's lines, hence among any subset of them, so it
+// is on top of every finer stack too and no finer stack would change.
+// The stop counts only in the stopping grid's bucket 0; snapshot
+// prefix-sums bucket 0 across the grids to credit the finer ones. A
+// repeat of the class's previous line stops at the first grid.
 func (c *classAnalyzer) access(addr uint64, write bool, pid int) {
 	line := addr >> c.offBits
-	if line == c.lastLine && pid == c.lastPID {
-		if write {
-			c.repWrites++
-		} else {
-			c.repReads++
+	for _, g := range c.grids {
+		if g.access(line, write, pid) {
+			return
 		}
-		return
-	}
-	c.flushRepeats()
-	c.lastLine, c.lastPID = line, pid
-	for _, g := range c.grids {
-		g.access(line, write, pid)
-	}
-}
-
-// flushRepeats folds the accumulated same-line references into every
-// grid's distance-0 buckets. Must run before reading histograms.
-func (c *classAnalyzer) flushRepeats() {
-	if c.repReads == 0 && c.repWrites == 0 {
-		return
-	}
-	r, w, pid := c.repReads, c.repWrites, c.lastPID
-	c.repReads, c.repWrites = 0, 0
-	for _, g := range c.grids {
-		g.reads[0] += r
-		g.writes[0] += w
-		g.perPID[pid*(g.depth+1)] += r + w
 	}
 }

@@ -80,9 +80,11 @@ func TestGridCountsAcrossGeometries(t *testing.T) {
 	}
 }
 
-// TestRepeatFastPathFoldsIntoBucketZero drives the same-line repeat
-// accumulator (consecutive references to one line) and checks the
-// repeats land in distance bucket 0 of the raw histogram.
+// TestRepeatFastPathFoldsIntoBucketZero drives consecutive references
+// to one line, whose grid walk stops at the first (fewest-sets) grid
+// with the line on top of its set, and checks the snapshot's bucket-0
+// prefix sum credits the repeats to distance bucket 0 of this finer
+// grid's histogram.
 func TestRepeatFastPathFoldsIntoBucketZero(t *testing.T) {
 	const a, b = 0x000, 0x400
 	res := analyze(t, smallConfig(), []trace.Event{
