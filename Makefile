@@ -15,18 +15,20 @@ test:
 
 # bench: run the suite — including the one-pass screening pair
 # (BenchmarkOnePassGrid vs BenchmarkExactGridConfigByConfig) and the
-# per-layer benchmarks (trace decode, MMU translation, core StepBatch,
-# stackdist Analyze) — and keep a dated machine-readable log of the
-# results (name -> ns/op + reported metrics, plus the host's GOMAXPROCS,
-# CPU count and Go version), stamped with the commit it measured
-# ("-dirty" when the tree had uncommitted changes), next to the console
-# output. benchjson refuses to replace an existing log, so a second run
-# on one date fails before it starts. Gate a change with:
+# per-layer benchmarks (trace Batch decode and SkipScan, MMU
+# translation, core StepBatch, StepScan and WarmScan, stackdist
+# Analyze) — and keep a machine-readable log of the results (name ->
+# ns/op + reported metrics, plus the host's GOMAXPROCS, CPU count and Go
+# version), stamped with the commit it measured ("-dirty" when the tree
+# had uncommitted changes), next to the console output. The log is named
+# BENCH_<date>-<commit>.json, so each commit gets its own; benchjson
+# refuses to replace an existing log, so a second run of one commit on
+# one date fails before it starts. Gate a change with:
 #   go run ./cmd/benchjson -compare BENCH_<old>.json BENCH_<new>.json
 bench:
+	sha="$$(git describe --always --dirty 2>/dev/null || echo unknown)"; \
 	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/trace ./internal/mmu ./internal/core ./internal/stackdist | $(GO) run ./cmd/benchjson \
-		-sha "$$(git describe --always --dirty 2>/dev/null || echo unknown)" \
-		-o BENCH_$$(date +%Y-%m-%d).json
+		-sha "$$sha" -o "BENCH_$$(date +%Y-%m-%d)-$$sha.json"
 
 # lint: the repo-specific cachelint suite (internal/lint): nopanic,
 # errwrap, determinism, exhaustive, statscoverage. Non-zero exit on any
@@ -35,13 +37,20 @@ lint:
 	$(GO) run ./cmd/cachelint ./...
 
 # verify: static checks (vet + cachelint), a full build, the test suite
-# under the race detector, and a short fuzz smoke over the trace-file
-# reader.
+# under the race detector, and short fuzz smokes over the trace-file
+# reader and the packed trace format.
+#
+# -timeout 20m: go test's default per-package limit, 10 minutes, is too
+# short under -race, where internal/experiments alone took 559-699 s on
+# a 2-vCPU VM. 20 minutes leaves headroom and stays below the CI jobs'
+# timeout-minutes, so go test's own timeout, which names the stuck test,
+# fires first.
 verify: lint
 	$(GO) vet ./...
 	$(GO) build ./...
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 20m ./...
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/trace
 
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=5m ./internal/trace

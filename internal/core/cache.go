@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -31,29 +32,71 @@ type cache struct {
 	masks    []uint32 // per-line word-valid bits (subblock placement)
 	lruWay   []uint8  // most-recently-used way per set (victim = any other)
 	fullMask uint32   // mask with one bit per word in a line
+	arrays   *cacheArrays
 }
 
 const tagInvalid = ^uint64(0)
 
-// newCache builds a cache array for the geometry.
+// cacheArrays is the storage behind a cache's slices. Each slice holds
+// 1<<class elements, so one set of arrays can back any geometry whose
+// line count rounds up to that power of two.
+type cacheArrays struct {
+	class  int
+	tags   []uint64
+	flags  []uint8
+	masks  []uint32
+	lruWay []uint8
+}
+
+// arrayPools recycles cacheArrays by size class: System.Release hands a
+// finished system's arrays back and newCache takes them. A sweep or a
+// serving daemon simulates one configuration after another, and the
+// cache arrays, L2's above all, are most of what a simulation
+// allocates; without reuse every run allocates and faults them in
+// afresh.
+var arrayPools [bits.UintSize]sync.Pool
+
+// newCache builds a cache array for the geometry, on recycled arrays
+// when the pool has some of the right size class.
 func newCache(g CacheGeom) *cache {
 	sets := g.SizeWords / (g.LineWords * g.Ways)
+	lines := sets * g.Ways
+	class := bits.Len(uint(lines - 1))
+	a, reused := arrayPools[class].Get().(*cacheArrays)
+	if !reused {
+		n := 1 << class
+		a = &cacheArrays{class: class, tags: make([]uint64, n), flags: make([]uint8, n),
+			masks: make([]uint32, n), lruWay: make([]uint8, n)}
+	}
 	c := &cache{
 		geom:     g,
 		sets:     uint64(sets),
 		setMask:  uint64(sets) - 1,
 		ways:     g.Ways,
 		offBits:  log2(uint64(g.LineWords * trace.WordBytes)),
-		tags:     make([]uint64, sets*g.Ways),
-		flags:    make([]uint8, sets*g.Ways),
-		masks:    make([]uint32, sets*g.Ways),
-		lruWay:   make([]uint8, sets),
+		tags:     a.tags[:lines:lines],
+		flags:    a.flags[:lines:lines],
+		masks:    a.masks[:lines:lines],
+		lruWay:   a.lruWay[:sets:sets],
 		fullMask: uint32(1)<<uint(g.LineWords) - 1,
+		arrays:   a,
 	}
 	for i := range c.tags {
 		c.tags[i] = tagInvalid
 	}
+	if reused {
+		clear(c.flags)
+		clear(c.masks)
+		clear(c.lruWay)
+	}
 	return c
+}
+
+// release hands the cache's arrays back to arrayPools. The cache must
+// not be used afterwards.
+func (c *cache) release() {
+	arrayPools[c.arrays.class].Put(c.arrays)
+	c.arrays, c.tags, c.flags, c.masks, c.lruWay = nil, nil, nil, nil, nil
 }
 
 // log2 returns floor(log2(v)) for v >= 1 (0 for v == 0).

@@ -151,3 +151,25 @@ func TestStepBatchLatchedFault(t *testing.T) {
 		t.Fatalf("StepBatch(nil) on faulted system = (%d, %v), want (0, err)", n2, err2)
 	}
 }
+
+// TestStepScanLatchedFault checks StepScan keeps StepBatch's fault
+// contract: a faulted system consumes and counts the one instruction it
+// attempted, returning the fault, and a zero budget consumes nothing.
+func TestStepScanLatchedFault(t *testing.T) {
+	s := newSys(t, Base())
+	s.fail(ErrWriteBufferOverflow)
+	c := trace.Pack(trace.NewMemTrace(batchEvents(10, -1))).NewCursor()
+	if n, _, err := s.StepScan(pid, c, 100); n != 1 || err == nil {
+		t.Fatalf("StepScan on faulted system = (%d, %v), want (1, err)", n, err)
+	}
+	if n, _, err := s.StepScan(pid, c, 0); n != 0 || err == nil {
+		t.Fatalf("StepScan with no budget on faulted system = (%d, %v), want (0, err)", n, err)
+	}
+	left := 0
+	for ev := (trace.Event{}); c.Next(&ev); {
+		left++
+	}
+	if left != 9 {
+		t.Fatalf("%d events left on the cursor, want 9: the attempted one is consumed", left)
+	}
+}

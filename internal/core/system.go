@@ -28,6 +28,11 @@ type System struct {
 
 	l1iFetchBytes uint64
 	l1dFetchBytes uint64
+	// iRefillKeepsLine: an L1-I refill leaves the fetched line resident
+	// and most recently used in its set. It does unless the refill
+	// block spans more lines than L1-I has sets, when a later line of
+	// the block can land in the fetched line's set.
+	iRefillKeepsLine bool
 
 	now          uint64
 	memBusyUntil uint64 // main-memory occupancy from dirty-buffer drains
@@ -54,6 +59,7 @@ func NewSystem(cfg Config) (*System, error) {
 		l1iFetchBytes: uint64(cfg.l1iFetch() * trace.WordBytes),
 		l1dFetchBytes: uint64(cfg.l1dFetch() * trace.WordBytes),
 	}
+	s.iRefillKeepsLine = uint64(cfg.l1iFetch()/cfg.L1I.LineWords) <= s.l1i.sets
 	if cfg.L2Split {
 		s.l2i = &l2bank{c: newCache(cfg.L2I.Geom), timing: cfg.L2I.Timing}
 		s.l2d = &l2bank{c: newCache(cfg.L2D.Geom), timing: cfg.L2D.Timing}
@@ -127,24 +133,51 @@ func (s *System) Step(pid mmu.PID, ev *trace.Event) error {
 	if s.fault != nil {
 		return s.fault
 	}
-	s.stepEvent(pid, ev)
+	s.step(pid, noRun, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
 	return s.fault
 }
 
-// stepEvent executes one instruction unconditionally; callers check the
-// latched fault before and after.
-func (s *System) stepEvent(pid mmu.PID, ev *trace.Event) {
+// noRun is the line-run state of a call that has fetched nothing yet.
+// It matches no line: a fetch address shifted right by at least the
+// two byte-offset bits fits in 30 bits.
+const noRun = ^uint32(0)
+
+// step executes one instruction unconditionally; callers check the
+// latched fault before and after. It is the one per-instruction body of
+// Step, StepBatch and StepScan.
+//
+// run is the caller's line-run state: the virtual L1-I line of the
+// previous fetch of this call when that fetch left its line resident
+// and most recently used in its set, else noRun. step returns the state
+// for the next instruction. A fetch from the run's line only counts its
+// L1-I access and its I-TLB hit, and skips the translation and the
+// probe (DESIGN.md §7, "Host fast paths"). That is exact because only an
+// I-side refill writes L1-I: data references, write-buffer drains and
+// L2 victims never touch it, so the probe would hit and its touch would
+// leave the replacement state as it is. The same page's previous
+// translation is the I-TLB's last key, so the lookup is a certain hit
+// (see mmu.MMU.RepeatI). Callers keep run within one call for one PID;
+// a virtual line names one physical line only within one address
+// space.
+func (s *System) step(pid mmu.PID, run, pc, data uint32, kind trace.Kind, size, stall uint8) uint32 {
 	s.stats.Instructions++
 	s.now++ // issue cycle
-	if ev.Stall > 0 {
-		s.stallFor(CauseCPU, uint64(ev.Stall))
+	if stall > 0 {
+		s.stallFor(CauseCPU, uint64(stall))
 	}
-	s.fetchInstruction(pid, ev.PC)
-	switch ev.Kind {
+	if line := pc >> s.l1i.offBits; line == run {
+		s.stats.L1IAccesses++
+		s.mmu.RepeatI()
+	} else if s.fetchInstruction(pid, pc) {
+		run = line
+	} else {
+		run = noRun
+	}
+	switch kind {
 	case trace.Load:
-		s.load(pid, ev.Data)
+		s.load(pid, data)
 	case trace.Store:
-		s.store(pid, ev.Data, ev.Size)
+		s.store(pid, data, size)
 	case trace.None:
 		// No data reference; the fetch above was the only access.
 	}
@@ -153,6 +186,7 @@ func (s *System) stepEvent(pid mmu.PID, ev *trace.Event) {
 		s.nextCheck = s.now + s.cfg.SelfCheck
 		s.fail(s.CheckInvariants())
 	}
+	return run
 }
 
 // StepBatch simulates events of process pid back to back, without the
@@ -180,9 +214,10 @@ func (s *System) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 		return 1, s.fault
 	}
 	stop := s.now + uint64(len(evs))
+	run := noRun
 	for i := range evs {
 		ev := &evs[i]
-		s.stepEvent(pid, ev)
+		run = s.step(pid, run, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
 		if s.fault != nil {
 			return i + 1, s.fault
 		}
@@ -191,6 +226,60 @@ func (s *System) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 		}
 	}
 	return len(evs), nil
+}
+
+// StepScan is StepBatch straight off a packed cursor's words: it steps
+// the events in place through trace.DecodeAt, without building Events.
+// The contract is StepBatch's over the next max events of c: the scan
+// consumes events until it has executed a syscall event (reported
+// true), the clock has advanced at least max cycles since entry, a fault
+// latches (returned, counting the faulting instruction), or the cursor
+// runs out; n == 0 with max > 0 and a nil error means c is exhausted.
+// Events the cursor has already decoded (Pending) run first, through
+// the same per-instruction body.
+func (s *System) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error) {
+	if max <= 0 {
+		return 0, false, s.fault
+	}
+	if s.fault != nil {
+		// Like StepBatch, count the attempted instruction.
+		n, _ = c.SkipScan(1)
+		return n, false, s.fault
+	}
+	stop := s.now + uint64(max)
+	run := noRun
+	pending := c.Pending()
+	for n < len(pending) {
+		ev := &pending[n]
+		run = s.step(pid, run, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
+		n++
+		if s.fault != nil || ev.Syscall || s.now >= stop {
+			c.Skip(n)
+			return n, ev.Syscall && s.fault == nil, s.fault
+		}
+	}
+	c.Skip(n)
+	words, w := c.RawWords()
+	raw := 0
+	for w < len(words) {
+		pc, meta, data, next := trace.DecodeAt(words, w)
+		w = next
+		raw++
+		run = s.step(pid, run, pc, data, trace.Kind(meta>>trace.MetaKindShift),
+			uint8(meta>>trace.MetaSizeShift), uint8(meta>>trace.MetaStallShift))
+		if s.fault != nil {
+			break
+		}
+		if meta&trace.MetaSyscallBit != 0 {
+			syscall = true
+			break
+		}
+		if s.now >= stop {
+			break
+		}
+	}
+	c.RawAdvance(w, raw)
+	return n + raw, syscall, s.fault
 }
 
 // Run consumes an entire single-process stream (convenience for tests,
@@ -210,6 +299,25 @@ func (s *System) Run(pid mmu.PID, src trace.Stream) (Stats, error) {
 	return s.Stats(), s.fault
 }
 
+// Release hands the system's cache arrays back for reuse by later
+// NewSystem calls, so a caller that simulates one configuration after
+// another (a sweep, a serving daemon) does not allocate them afresh for
+// each. Read the results first: the system must not be used after
+// Release (a later step panics on the cleared caches). Calling Release
+// again does nothing.
+func (s *System) Release() {
+	if s.l1i == nil {
+		return
+	}
+	s.l1i.release()
+	s.l1d.release()
+	s.l2i.c.release()
+	if s.l2d != s.l2i {
+		s.l2d.c.release()
+	}
+	s.l1i, s.l1d, s.l2i, s.l2d = nil, nil, nil, nil
+}
+
 // DrainWriteBuffer retires all pending writes without charging CPU
 // stalls, so final L2 state and statistics are consistent at the end of
 // a simulation.
@@ -225,8 +333,11 @@ func (s *System) waitWBEmpty() {
 	s.wb.popAll()
 }
 
-// fetchInstruction services the instruction fetch at vaddr.
-func (s *System) fetchInstruction(pid mmu.PID, vaddr uint32) {
+// fetchInstruction services the instruction fetch at vaddr and reports
+// whether the fetched line is now resident and most recently used in
+// its set, as a line run needs: a hit always leaves it so, a refill when
+// iRefillKeepsLine.
+func (s *System) fetchInstruction(pid mmu.PID, vaddr uint32) bool {
 	paddr, tlbHit := s.mmu.TranslateI(pid, vaddr)
 	if !tlbHit && s.cfg.TLBMissPenalty > 0 {
 		s.stallFor(CauseTLB, uint64(s.cfg.TLBMissPenalty))
@@ -235,13 +346,14 @@ func (s *System) fetchInstruction(pid mmu.PID, vaddr uint32) {
 	line := s.l1i.lineAddr(paddr)
 	if slot := s.l1i.find(line); slot >= 0 && s.l1i.flags[slot]&flagValid != 0 {
 		s.l1i.touch(slot)
-		return
+		return true
 	}
 	s.stats.L1IMisses++
 	if s.cfg.IMissWaitsForWB {
 		s.waitWBEmpty()
 	}
 	s.refill(s.l1i, s.l2i, paddr, s.l1iFetchBytes, true)
+	return s.iRefillKeepsLine
 }
 
 // refill fetches the aligned fetch block containing paddr from the given

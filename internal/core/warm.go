@@ -54,15 +54,17 @@ func (s *System) WarmBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 	return len(evs), nil
 }
 
-// warmFetch mirrors fetchInstruction: TLB, L1-I probe, refill on miss.
-func (s *System) warmFetch(pid mmu.PID, vaddr uint32) {
+// warmFetch mirrors fetchInstruction: TLB, L1-I probe, refill on miss,
+// and the same report of whether a line run may start.
+func (s *System) warmFetch(pid mmu.PID, vaddr uint32) bool {
 	paddr := s.mmu.TranslateWarmI(pid, vaddr)
 	line := s.l1i.lineAddr(paddr)
 	if slot := s.l1i.find(line); slot >= 0 && s.l1i.flags[slot]&flagValid != 0 {
 		s.l1i.touch(slot)
-		return
+		return true
 	}
 	s.warmRefill(s.l1i, s.l2i, paddr, s.l1iFetchBytes, true)
+	return s.iRefillKeepsLine
 }
 
 // warmLoad mirrors load, including the write-only and subblock
@@ -262,18 +264,20 @@ func (s *System) CacheFingerprint() uint64 {
 }
 
 // WarmScan is WarmBatch straight over a packed cursor's word stream:
-// no Event materialization, and one L1-I probe per instruction-line run
-// instead of per instruction. It exists because continuous functional
-// warming is what keeps sampled simulation unbiased on workloads whose
-// L2 reuse distances exceed any affordable warmup window, and at that
-// duty cycle the per-event decode and fetch-probe costs dominate.
+// events are stepped in place through trace.DecodeAt, never
+// materialized, and one L1-I probe serves a run of fetches from one
+// line. It exists because continuous functional warming is what keeps
+// sampled simulation unbiased on workloads whose L2 reuse distances
+// exceed any affordable warmup window, and at that duty cycle the
+// per-event decode and fetch-probe costs dominate.
 //
-// The line-run filter is exact, not approximate: within a run of
-// consecutive fetches to one line, no other line in that L1-I set is
-// touched (data references never probe the instruction side), so
-// probing once leaves tags, flags, and replacement state bit-identical
-// to probing every instruction. Line identity is compared on virtual
-// addresses, which is sound because a cache line never spans pages.
+// The line run is the exact engine's (see step), minus the TLB count,
+// which functional warming does not keep: a run starts at a fetch that
+// left its line resident and most recently used, and no data reference
+// touches L1-I, so skipping the repeat probes leaves tags, flags and
+// replacement state bit-identical to probing every instruction. Lines
+// are compared on virtual addresses, which is sound within one call
+// (one PID) because a cache line never spans pages.
 //
 // The contract matches WarmBatch: up to max events are consumed, a
 // consumed syscall event stops the scan (reported true), and n == 0
@@ -305,82 +309,29 @@ func (s *System) WarmScan(pid mmu.PID, c *trace.Cursor, max int) (int, bool, err
 	words, w := c.RawWords()
 	drained := n
 	shift := s.l1i.offBits
-	lastLine := ^uint32(0) // no line: lines fit 30 bits after the shift
+	run := noRun
 	syscall := false
-	// Fast region: an event is at most four words, so while w stays at or
-	// below len-4 every speculative word read is in bounds and the decode
-	// can load unconditionally — no per-tag branching, which is what the
-	// branch predictor cannot handle on a mixed plain/meta/data stream.
-	// The conditional zeroings below compile to conditional moves. A
-	// meta-tagged load or store has an implicit zero data address (the
-	// encoder drops the data word when it is zero), hence data is zeroed
-	// for events shorter than three words.
-	limit := len(words) - 4
-	for n < max && w <= limit {
-		w0 := words[w]
-		adv := int(w0&trace.TagMask) + 1
-		m := words[w+1]
-		data := words[w+2]
-		pc := w0 &^ trace.TagMask
-		if adv == 1 {
-			m = 0
-		}
-		if adv < 3 {
-			data = 0
-		}
-		if adv == 4 {
-			pc = words[w+3]
-		}
-		w += adv
+	for n < max && w < len(words) {
+		pc, meta, data, next := trace.DecodeAt(words, w)
+		w = next
 		n++
-		if line := pc >> shift; line != lastLine {
-			lastLine = line
-			s.warmFetch(pid, pc)
-		}
-		if kind := trace.Kind(m >> trace.MetaKindShift & 0xff); kind != trace.None {
-			if kind == trace.Load {
-				s.warmLoad(pid, data)
-			} else {
-				s.warmStore(pid, data, uint8(m>>trace.MetaSizeShift))
+		if line := pc >> shift; line != run {
+			run = noRun
+			if s.warmFetch(pid, pc) {
+				run = line
 			}
 		}
-		if m&trace.MetaSyscallBit != 0 {
-			syscall = true
-			break
-		}
-	}
-	// Tail: within four words of the end, decode carefully per tag.
-	for !syscall && n < max && w < len(words) {
-		w0 := words[w]
-		m, pc, data := uint32(0), w0&^uint32(trace.TagMask), uint32(0)
-		switch w0 & trace.TagMask {
-		case trace.TagPlain:
-			w++
-		case trace.TagMeta:
-			m = words[w+1]
-			w += 2
-		case trace.TagData:
-			m, data = words[w+1], words[w+2]
-			w += 3
-		default: // TagRaw
-			m, data, pc = words[w+1], words[w+2], words[w+3]
-			w += 4
-		}
-		n++
-		if line := pc >> shift; line != lastLine {
-			lastLine = line
-			s.warmFetch(pid, pc)
-		}
-		switch trace.Kind(m >> trace.MetaKindShift & 0xff) {
+		switch trace.Kind(meta >> trace.MetaKindShift) {
 		case trace.Load:
 			s.warmLoad(pid, data)
 		case trace.Store:
-			s.warmStore(pid, data, uint8(m>>trace.MetaSizeShift))
+			s.warmStore(pid, data, uint8(meta>>trace.MetaSizeShift))
 		case trace.None:
 			// Fetch-only instruction; nothing further to warm.
 		}
-		if m&trace.MetaSyscallBit != 0 {
+		if meta&trace.MetaSyscallBit != 0 {
 			syscall = true
+			break
 		}
 	}
 	c.RawAdvance(w, n-drained) // raw-consumed events only

@@ -71,7 +71,7 @@ func replayWarm(t *testing.T, cfg Config, rec *trace.Recorded) uint64 {
 	return s.CacheFingerprint()
 }
 
-// replayWarmScan drives WarmScan — the zero-decode raw-word path — over
+// replayWarmScan drives WarmScan — the raw-word path — over
 // a fresh cursor in randomly sized chunks. Random pre-batching leaves
 // decoded read-ahead pending on the cursor, so the scan's pending-drain
 // prologue and its resume-after-syscall points are both exercised.
@@ -134,6 +134,28 @@ func TestWarmScanMatchesWarmBatch(t *testing.T) {
 				t.Fatalf("cache state diverged: WarmBatch fingerprint %#x, WarmScan %#x", batch, scan)
 			}
 		})
+	}
+}
+
+// TestWarmScanWideRefillEndsLineRun gives a 2-way L1-I a refill block
+// twice its set count, so the refill that a fetch misses into installs
+// a later line of the block over the fetched one as most recently used
+// in its set. A second fetch from the same line must still touch it:
+// such a refill starts no line run.
+func TestWarmScanWideRefillEndsLineRun(t *testing.T) {
+	cfg := Base()
+	cfg.L1I = CacheGeom{SizeWords: 32, LineWords: 4, Ways: 2}
+	cfg.L1IFetch = 32
+	evs := []trace.Event{{PC: 0x1000}, {PC: 0x1004}}
+	batch, scan := newSys(t, cfg), newSys(t, cfg)
+	if _, err := batch.WarmBatch(pid, evs); err != nil {
+		t.Fatalf("WarmBatch: %v", err)
+	}
+	if _, _, err := scan.WarmScan(pid, trace.Pack(trace.NewMemTrace(evs)).NewCursor(), len(evs)); err != nil {
+		t.Fatalf("WarmScan: %v", err)
+	}
+	if b, s := batch.CacheFingerprint(), scan.CacheFingerprint(); b != s {
+		t.Fatalf("cache state diverged: WarmBatch %#x, WarmScan %#x", b, s)
 	}
 }
 

@@ -242,6 +242,14 @@ func (m *MMU) translate(tlb *TLB, tc *transCache, pid PID, vaddr uint32) (uint64
 	return uint64(tc.pfn)<<PageShift | uint64(vaddr&OffsetMask), hit
 }
 
+// RepeatI counts the instruction TLB hit of a fetch from the page of
+// the previous TranslateI, with no I-side translation in between. That
+// translation left the page as the I-TLB's last key and in the port's
+// memo, so TranslateI would take translate's repeat path: count the hit
+// and return the memoized frame. A caller that already knows the
+// physical line (the exact engine's fetch line run) needs only the count.
+func (m *MMU) RepeatI() { m.itlb.stats.Hits++ }
+
 // TranslateWarmI is TranslateI for the functional-warming fast path:
 // on a memo hit the TLB is left completely alone (no hit/miss
 // accounting, no replacement-state update), which is what makes

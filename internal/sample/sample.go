@@ -202,6 +202,7 @@ func Run(cfg core.Config, procs []sched.Process, scfg sched.Config, smp Config) 
 	if err != nil {
 		return Result{}, err
 	}
+	defer sys.Release()
 	r, err := sched.NewRunner(sys, procs, scfg)
 	if err != nil {
 		return Result{}, err

@@ -12,8 +12,10 @@ import (
 type Mode uint8
 
 const (
-	// ModeMeasure drives the target cycle-accurately via StepBatch —
-	// identical semantics to Run's batched quantum path.
+	// ModeMeasure drives the target cycle-accurately — identical
+	// semantics to Run's batched quantum path: StepScan straight off
+	// the words when the target is a ScanTarget and the stream a
+	// *trace.Cursor, Batch plus StepBatch otherwise.
 	ModeMeasure Mode = iota
 	// ModeWarm advances architectural state functionally via WarmBatch:
 	// caches and TLB stay warm, but no cycles are charged; the virtual
@@ -48,13 +50,14 @@ type WarmTarget interface {
 	WarmBatch(pid mmu.PID, evs []trace.Event) (n int, err error)
 }
 
-// ScanWarmTarget is a WarmTarget with a zero-decode fast path over
-// packed-trace cursors: WarmScan must be state-equivalent to draining
+// ScanWarmTarget is a WarmTarget that can also warm straight off a
+// packed-trace cursor: WarmScan must be state-equivalent to draining
 // the same events through WarmBatch, with the same consume-and-stop
-// syscall contract. The runner uses it automatically for warm-mode
-// work on processes whose stream is a *trace.Cursor; continuous
-// functional warming in sampled simulation is only affordable through
-// this path. *core.System satisfies it.
+// syscall contract. It is ScanTarget's functional-warming counterpart:
+// the runner uses it automatically for warm-mode work on processes
+// whose stream is a *trace.Cursor, and continuous functional warming in
+// sampled simulation is only affordable through this path.
+// *core.System satisfies it.
 type ScanWarmTarget interface {
 	WarmTarget
 	WarmScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error)
@@ -81,8 +84,9 @@ const nomCPIScale = 256
 // (which would let a slice never expire) or ticking at the wrong rate.
 type Runner struct {
 	target   BatchTarget
+	scan     ScanTarget     // nil if the target cannot step off cursors
 	warm     WarmTarget     // nil if the target cannot warm
-	scanWarm ScanWarmTarget // nil if the target cannot raw-scan
+	scanWarm ScanWarmTarget // nil if the target cannot warm off cursors
 	cfg      Config
 	level    int
 	slice    uint64
@@ -130,12 +134,9 @@ func NewRunner(target BatchTarget, procs []Process, cfg Config) (*Runner, error)
 		nextPID:   1,
 		nomCharge: nomCPIScale, // nominal CPI 1.0 until the caller measures
 	}
-	if wt, ok := target.(WarmTarget); ok {
-		r.warm = wt
-	}
-	if st, ok := target.(ScanWarmTarget); ok {
-		r.scanWarm = st
-	}
+	r.scan, _ = target.(ScanTarget)
+	r.warm, _ = target.(WarmTarget)
+	r.scanWarm, _ = target.(ScanWarmTarget)
 	for len(r.active) < r.level && len(r.pending) > 0 {
 		r.start()
 	}
@@ -286,21 +287,22 @@ func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, u
 		k = budget
 	}
 	// The batch cap bounds the decode-ahead buffer, so it applies only
-	// to modes that materialize events. SkipScan and WarmScan walk the
-	// packed words in place; capping them would both re-pay the
-	// skip-index residue walk every quantumBatchMax events and add call
-	// overhead, without changing where switches land (fast-forwarded
-	// instructions all pay the same uniform virtual-time charge, and
-	// both scans stop at syscalls on their own).
+	// when events are materialized. SkipScan, WarmScan and StepScan
+	// walk the packed words in place; capping them would both re-pay
+	// the skip-index residue walk every quantumBatchMax events and add
+	// call overhead, without changing where switches land
+	// (fast-forwarded instructions all pay the same uniform
+	// virtual-time charge, measured ones stop at the cycle budget, and
+	// all three scans stop at syscalls on their own).
+	cur, isCursor := p.src.(*trace.Cursor)
 	scan := false
 	switch mode {
 	case ModeSkip:
 		_, scan = p.src.(trace.SkipScanner)
 	case ModeWarm:
-		_, isCursor := p.src.(*trace.Cursor)
 		scan = isCursor && r.scanWarm != nil
 	case ModeMeasure:
-		// Measurement always materializes events.
+		scan = isCursor && r.scan != nil
 	}
 	if k > quantumBatchMax && !scan {
 		k = quantumBatchMax
@@ -312,31 +314,8 @@ func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, u
 		syscall bool
 		err     error
 	)
-	switch mode {
-	case ModeWarm:
-		if cur, ok := p.src.(*trace.Cursor); ok && r.scanWarm != nil {
-			n, syscall, err = r.scanWarm.WarmScan(p.pid, cur, int(k))
-			if n == 0 && err == nil {
-				return r.terminated(p)
-			}
-			break
-		}
-		fallthrough
-	case ModeMeasure:
-		evs := bs.Batch(int(k))
-		if len(evs) == 0 {
-			return r.terminated(p)
-		}
-		if mode == ModeMeasure {
-			n, err = r.target.StepBatch(p.pid, evs)
-		} else {
-			n, err = r.warm.WarmBatch(p.pid, evs)
-		}
-		bs.Skip(n)
-		if n > 0 {
-			syscall = evs[n-1].Syscall
-		}
-	case ModeSkip:
+	switch {
+	case mode == ModeSkip:
 		if ss, ok := p.src.(trace.SkipScanner); ok {
 			n, syscall = ss.SkipScan(int(k))
 		} else {
@@ -349,6 +328,29 @@ func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, u
 		}
 		if n == 0 {
 			return r.terminated(p)
+		}
+	case scan:
+		if mode == ModeWarm {
+			n, syscall, err = r.scanWarm.WarmScan(p.pid, cur, int(k))
+		} else {
+			n, syscall, err = r.scan.StepScan(p.pid, cur, int(k))
+		}
+		if n == 0 && err == nil {
+			return r.terminated(p)
+		}
+	default:
+		evs := bs.Batch(int(k))
+		if len(evs) == 0 {
+			return r.terminated(p)
+		}
+		if mode == ModeMeasure {
+			n, err = r.target.StepBatch(p.pid, evs)
+		} else {
+			n, err = r.warm.WarmBatch(p.pid, evs)
+		}
+		bs.Skip(n)
+		if n > 0 {
+			syscall = evs[n-1].Syscall
 		}
 	}
 	if mode != ModeMeasure {

@@ -11,17 +11,7 @@ import (
 
 // runnerProcs builds packed-cursor processes over the shared batch
 // workload, the same shape Run's equivalence tests use.
-func runnerProcs() []Process {
-	traces := batchWorkload(5000)
-	procs := make([]Process, len(traces))
-	for i, mt := range traces {
-		procs[i] = Process{
-			Name:   []string{"alpha", "beta", "gamma"}[i],
-			Stream: trace.Pack(mt.Clone()).NewCursor(),
-		}
-	}
-	return procs
-}
+func runnerProcs() []Process { return workloadProcs(true) }
 
 func newRunnerSystem(t *testing.T) *core.System {
 	t.Helper()

@@ -46,6 +46,20 @@ type BatchTarget interface {
 	StepBatch(pid mmu.PID, evs []trace.Event) (n int, err error)
 }
 
+// ScanTarget is a BatchTarget that can also step straight off a
+// packed-trace cursor. StepScan must behave exactly like StepBatch over
+// the cursor's next max events (the same syscall and cycle-budget
+// stops, the same fault counting), consuming from the cursor what it
+// executed and reporting whether the last consumed event was a
+// syscall; n == 0 with a nil error means the cursor is exhausted. The
+// scheduler uses it for processes whose stream is a *trace.Cursor, so a
+// quantum is stepped without decoding events into a buffer first.
+// *core.System satisfies it.
+type ScanTarget interface {
+	BatchTarget
+	StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error)
+}
+
 // Process names a benchmark trace to run.
 type Process struct {
 	Name   string
@@ -132,6 +146,7 @@ func Run(target Target, procs []Process, cfg Config) (Result, error) {
 	}
 
 	bt, hasBatch := target.(BatchTarget)
+	st, _ := target.(ScanTarget)
 
 	startCycle := target.Now()
 	cur := 0
@@ -145,7 +160,7 @@ func Run(target Target, procs []Process, cfg Config) (Result, error) {
 		var out quantumOutcome
 		var err error
 		if bs, ok := p.src.(trace.BatchStream); ok && hasBatch {
-			out, err = runQuantumBatched(bt, bs, p, &res, sliceEnd, cfg)
+			out, err = runQuantumBatched(bt, st, bs, p, &res, sliceEnd, cfg)
 		} else {
 			out, err = runQuantumSerial(target, p, &res, sliceEnd, cfg)
 		}
@@ -231,7 +246,14 @@ const quantumBatchMax = 4096
 // target stops it after an executed syscall. Statistics updates are
 // identical to the serial path, but the per-process map counter is
 // written once per batch instead of once per instruction.
-func runQuantumBatched(bt BatchTarget, bs trace.BatchStream, p *process, res *Result, sliceEnd uint64, cfg Config) (quantumOutcome, error) {
+//
+// When st is non-nil and the stream is a packed-trace cursor, each batch
+// is a StepScan over the cursor instead of Batch plus StepBatch. The
+// quantumBatchMax cap exists to bound the decode buffer, so a scan
+// skips it: the same cycle budget sets the same stop points.
+func runQuantumBatched(bt BatchTarget, st ScanTarget, bs trace.BatchStream, p *process, res *Result, sliceEnd uint64, cfg Config) (quantumOutcome, error) {
+	cur, _ := bs.(*trace.Cursor)
+	scan := cur != nil && st != nil
 	for {
 		now := bt.Now()
 		if now >= sliceEnd {
@@ -245,19 +267,33 @@ func runQuantumBatched(bt BatchTarget, bs trace.BatchStream, p *process, res *Re
 				k = rem
 			}
 		}
-		if k > quantumBatchMax {
-			k = quantumBatchMax
+		var (
+			n       int
+			syscall bool
+			err     error
+		)
+		if scan {
+			n, syscall, err = st.StepScan(p.pid, cur, int(k))
+		} else {
+			if k > quantumBatchMax {
+				k = quantumBatchMax
+			}
+			evs := bs.Batch(int(k))
+			if len(evs) > 0 {
+				n, err = bt.StepBatch(p.pid, evs)
+				bs.Skip(n)
+				if n > 0 {
+					syscall = evs[n-1].Syscall
+				}
+			}
 		}
-		evs := bs.Batch(int(k))
-		if len(evs) == 0 {
+		if n == 0 && err == nil {
 			if err := trace.StreamErr(bs); err != nil {
 				return quantumFailed, fmt.Errorf("sched: process %q: trace stream after %d instructions: %w",
 					p.name, res.PerProcess[p.name], err)
 			}
 			return quantumTerminated, nil
 		}
-		n, err := bt.StepBatch(p.pid, evs)
-		bs.Skip(n)
 		res.Instructions += uint64(n)
 		res.PerProcess[p.name] += uint64(n)
 		if err != nil {
@@ -267,7 +303,7 @@ func runQuantumBatched(bt BatchTarget, bs trace.BatchStream, p *process, res *Re
 		if cfg.MaxInstructions > 0 && res.Instructions >= cfg.MaxInstructions {
 			return quantumMaxed, nil
 		}
-		if !cfg.NoSyscallSwitch && evs[n-1].Syscall {
+		if !cfg.NoSyscallSwitch && syscall {
 			res.Switches++
 			res.SyscallSwitches++
 			return quantumSwitched, nil

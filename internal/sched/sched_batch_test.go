@@ -45,8 +45,9 @@ func batchWorkload(n int) []*trace.MemTrace {
 	return out
 }
 
-func runWorkload(t *testing.T, batched bool, packed bool, scfg Config) (Result, core.Stats) {
-	t.Helper()
+// workloadProcs returns the batch workload as processes whose streams
+// are packed-trace cursors, or the same events as MemTraces.
+func workloadProcs(packed bool) []Process {
 	traces := batchWorkload(5000)
 	procs := make([]Process, len(traces))
 	for i, mt := range traces {
@@ -56,6 +57,12 @@ func runWorkload(t *testing.T, batched bool, packed bool, scfg Config) (Result, 
 		}
 		procs[i] = Process{Name: []string{"alpha", "beta", "gamma"}[i], Stream: s}
 	}
+	return procs
+}
+
+func runWorkload(t *testing.T, batched bool, packed bool, scfg Config) (Result, core.Stats) {
+	t.Helper()
+	procs := workloadProcs(packed)
 	sys, err := core.NewSystem(core.Base())
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)

@@ -18,7 +18,8 @@ type Result struct {
 // CPI returns the run's cycles per instruction.
 func (r Result) CPI() float64 { return r.Stats.CPI() }
 
-// Run simulates procs on a fresh system built from cfg.
+// Run simulates procs on a fresh system built from cfg, and releases the
+// system's cache arrays for the next run once its results are read.
 //
 // Errors come from three places: an unimplementable configuration
 // (before any simulation), a scheduler-surfaced fault mid-run (a target
@@ -31,6 +32,7 @@ func Run(cfg core.Config, procs []sched.Process, scfg sched.Config) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
+	defer sys.Release()
 	sres, err := sched.Run(sys, procs, scfg)
 	if err != nil {
 		return Result{Stats: sys.Stats(), Sched: sres}, err

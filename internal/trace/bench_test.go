@@ -27,3 +27,28 @@ func BenchmarkCursorBatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
 }
+
+// BenchmarkSkipScan measures the skip phase of sampled simulation:
+// every member of the recorded scale-1 kernel suite fast-forwarded
+// start to finish through Cursor.SkipScan in spans of up to 500,000
+// events (the order of a sampling period's skip phase), each call also
+// stopping at syscalls the way the scheduler's fast-forward does.
+func BenchmarkSkipScan(b *testing.B) {
+	rec := workload.Record(1)
+	events := 0
+	for _, r := range rec {
+		events += r.Trace.Len()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range rec {
+			c := r.Trace.NewCursor()
+			for {
+				if n, _ := c.SkipScan(500_000); n == 0 {
+					break
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+}

@@ -1,13 +1,15 @@
 package trace
 
+import "slices"
+
 // Recorded is an immutable, compactly packed recording of a finite
 // event stream — the in-memory equivalent of a pixie trace tape that
 // many cache configurations replay concurrently. It exists for the
 // innermost loop of a sweep: a packed suite is roughly half the size of
 // the equivalent []Event, so more of a multi-million-instruction
-// recording stays in cache while a worker pool replays it, and a
-// Cursor's batch decoding keeps the replay sequential and branch-
-// predictable.
+// recording stays in cache while a worker pool replays it. Every
+// reader that needs an event's fields gets them from DecodeAt, the
+// format's one decoder.
 //
 // The encoding is a stream of uint32 words. Instruction PCs are word
 // aligned on the target (MIPS-I), so the two low bits of the leading
@@ -42,10 +44,16 @@ type Recorded struct {
 // skipIndexBlock is the event stride of the packed skip index.
 const skipIndexBlock = 4096
 
+// decodeSlack is how many words of capacity a Recorded keeps past its
+// last word: an event spans at most four words, so DecodeAt can load
+// all four from any event's first word.
+const decodeSlack = 3
+
 // Event tags (low two bits of the leading word). Exported, with the
-// meta-word layout below, for zero-decode scanners over RawWords (the
-// functional-warming fast path in internal/core); everything else
-// should consume events through Next/Batch.
+// meta-word layout below, for scanners that step straight off RawWords
+// through DecodeAt (the exact and functional-warming scans in
+// internal/core); everything else should consume events through
+// Next/Batch.
 const (
 	TagMask  = 3
 	TagPlain = 0 // PC word only
@@ -96,6 +104,11 @@ func (r *Recorded) Append(ev *Event) {
 	default:
 		r.words = append(r.words, ev.PC|TagData, meta, ev.Data)
 	}
+	if cap(r.words)-len(r.words) < decodeSlack {
+		// Guarded: storing the slice header on every call costs a
+		// write barrier per event while a collection runs.
+		r.words = slices.Grow(r.words, decodeSlack)
+	}
 	r.n++
 }
 
@@ -105,47 +118,47 @@ func (r *Recorded) Len() int { return r.n }
 // Bytes returns the packed size of the recording in bytes.
 func (r *Recorded) Bytes() int { return len(r.words) * 4 }
 
-// decode expands the event starting at word i into *ev and returns the
-// index of the next event's first word.
-func (r *Recorded) decode(i int, ev *Event) int {
-	w0 := r.words[i]
-	switch w0 & 3 {
-	case TagPlain:
-		*ev = Event{PC: w0}
-		return i + 1
-	case TagMeta:
-		m := r.words[i+1]
-		*ev = Event{
-			PC:      w0 &^ 3,
-			Kind:    Kind(m >> MetaKindShift),
-			Size:    uint8(m >> MetaSizeShift),
-			Stall:   uint8(m >> MetaStallShift),
-			Syscall: m&MetaSyscallBit != 0,
-		}
-		return i + 2
-	case TagData:
-		m := r.words[i+1]
-		*ev = Event{
-			PC:      w0 &^ 3,
-			Data:    r.words[i+2],
-			Kind:    Kind(m >> MetaKindShift),
-			Size:    uint8(m >> MetaSizeShift),
-			Stall:   uint8(m >> MetaStallShift),
-			Syscall: m&MetaSyscallBit != 0,
-		}
-		return i + 3
-	default: // TagRaw
-		m := r.words[i+1]
-		*ev = Event{
-			PC:      r.words[i+3],
-			Data:    r.words[i+2],
-			Kind:    Kind(m >> MetaKindShift),
-			Size:    uint8(m >> MetaSizeShift),
-			Stall:   uint8(m >> MetaStallShift),
-			Syscall: m&MetaSyscallBit != 0,
-		}
-		return i + 4
+// DecodeAt decodes the event whose first word is words[w]: its PC, its
+// meta word (zero for a plain instruction; see the Meta* layout) and its
+// data address (zero when the event carries no data word), plus the
+// index of the next event's first word. It is the packed format's only
+// decoder; every replay path, from Next and Batch to the scanners over
+// RawWords, goes through it. w must be the first word of an event.
+//
+// DecodeAt loads all four words an event can span and selects among
+// them by tag without branching, because a mixed stream of plain, meta
+// and data events defeats the branch predictor. The words past a short
+// event may lie beyond len(words), so words must be a recording's word
+// stream as Cursor.RawWords returns it: a Recorded keeps decodeSlack
+// words of capacity past its last word, and whatever they hold is
+// discarded.
+func DecodeAt(words []uint32, w int) (pc, meta, data uint32, next int) {
+	ev := words[w : w+4 : w+4]
+	w0, raw := ev[0], ev[3]
+	tag := w0 & TagMask
+	pc, meta, data = w0&^TagMask, ev[1], ev[2]
+	if tag == TagPlain {
+		meta = 0
 	}
+	if tag < TagData {
+		data = 0
+	}
+	if tag == TagRaw {
+		pc = raw
+	}
+	return pc, meta, data, w + int(tag) + 1
+}
+
+// setEvent stores the event that DecodeAt's fields describe into *ev,
+// field by field: assembling an Event in a temporary and copying it
+// costs a store-forwarding stall per event on the replay hot path.
+func setEvent(ev *Event, pc, meta, data uint32) {
+	ev.PC = pc
+	ev.Data = data
+	ev.Kind = Kind(meta >> MetaKindShift)
+	ev.Size = uint8(meta >> MetaSizeShift)
+	ev.Stall = uint8(meta >> MetaStallShift)
+	ev.Syscall = meta&MetaSyscallBit != 0
 }
 
 // NewCursor returns a replay cursor positioned at the first event. Each
@@ -180,7 +193,9 @@ func (c *Cursor) Next(ev *Event) bool {
 	if c.w >= len(c.r.words) {
 		return false
 	}
-	c.w = c.r.decode(c.w, ev)
+	pc, meta, data, next := DecodeAt(c.r.words, c.w)
+	setEvent(ev, pc, meta, data)
+	c.w = next
 	c.wEv++
 	return true
 }
@@ -206,41 +221,15 @@ func (c *Cursor) Batch(max int) []Event {
 	if cap(c.buf) < max {
 		c.buf = make([]Event, max)
 	}
-	// This loop is the replay hot path of a sweep: it decodes straight
-	// into pre-sized buffer slots (no append, no intermediate Event
-	// copy) with the word stream held in locals. It is a manual inline
-	// of decode; keep the two in sync.
+	// Decode straight into the pre-sized buffer slots (no append), with
+	// the word stream held in locals.
 	buf := c.buf[:max]
 	words := c.r.words
 	w, n := c.w, 0
 	for n < len(buf) && w < len(words) {
-		w0 := words[w]
-		tag := w0 & 3
-		if tag == TagPlain {
-			buf[n] = Event{PC: w0}
-			w++
-			n++
-			continue
-		}
-		m := words[w+1]
-		ev := Event{
-			PC:      w0 &^ 3,
-			Kind:    Kind(m >> MetaKindShift),
-			Size:    uint8(m >> MetaSizeShift),
-			Stall:   uint8(m >> MetaStallShift),
-			Syscall: m&MetaSyscallBit != 0,
-		}
-		switch tag {
-		case TagMeta:
-			w += 2
-		case TagData:
-			ev.Data = words[w+2]
-			w += 3
-		default: // TagRaw
-			ev.Data, ev.PC = words[w+2], words[w+3]
-			w += 4
-		}
-		buf[n] = ev
+		pc, meta, data, next := DecodeAt(words, w)
+		setEvent(&buf[n], pc, meta, data)
+		w = next
 		n++
 	}
 	c.w = w
@@ -255,15 +244,15 @@ func (c *Cursor) Batch(max int) []Event {
 func (c *Cursor) Skip(n int) { c.pos += n }
 
 // Pending returns the already-decoded but unconsumed events of the last
-// Batch call. A zero-decode scanner must consume (and Skip) these
+// Batch call. A scanner over RawWords must consume (and Skip) these
 // before touching RawWords, or it would replay events the cursor has
 // already decoded past.
 func (c *Cursor) Pending() []Event { return c.buf[c.pos:] }
 
 // RawWords exposes the packed word stream and the index of the
-// cursor's next undecoded word, for zero-decode scanning (see the Tag*
-// and Meta* constants for the layout). Only valid when Pending is
-// empty. The scanner must report its progress with RawAdvance before
+// cursor's next undecoded word, for scanners that step events in place
+// with DecodeAt instead of materializing them. Only valid when Pending
+// is empty. The scanner must report its progress with RawAdvance before
 // any other cursor call.
 func (c *Cursor) RawWords() (words []uint32, w int) { return c.r.words, c.w }
 

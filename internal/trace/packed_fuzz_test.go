@@ -1,0 +1,199 @@
+package trace
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"testing"
+)
+
+// fuzzRecordBytes is the size of one event in FuzzPackedRoundTrip's
+// input: PC (4 bytes), data (4), kind, size, stall, flags.
+const fuzzRecordBytes = 12
+
+// maxFuzzEvents caps one input's event count: three skip-index blocks,
+// enough for SkipScan's block jumps to land inside a later block.
+const maxFuzzEvents = 3 * skipIndexBlock
+
+// Flag bits of a fuzz record's last byte.
+const (
+	fuzzZeroData  = 1 << 0 // clear the data word
+	fuzzZeroMeta  = 1 << 1 // clear kind, size and stall
+	fuzzSyscall   = 1 << 2 // set the syscall flag
+	fuzzAlignedPC = 1 << 3 // clear the PC's two low bits
+)
+
+// fuzzEvents turns fuzz bytes into events. The first byte is a repeat
+// count (its value plus one) for the pattern the remaining 12-byte
+// records describe, so a short input can still span several skip-index
+// blocks. Any PC (aligned or not), any Kind, Size and Stall byte, the
+// syscall flag, and zero or non-zero data can appear.
+func fuzzEvents(data []byte) []Event {
+	if len(data) < 1+fuzzRecordBytes {
+		return nil
+	}
+	reps := 1 + int(data[0])
+	var pattern []Event
+	for rec := data[1:]; len(rec) >= fuzzRecordBytes; rec = rec[fuzzRecordBytes:] {
+		ev := Event{
+			PC:    binary.LittleEndian.Uint32(rec[0:4]),
+			Data:  binary.LittleEndian.Uint32(rec[4:8]),
+			Kind:  Kind(rec[8]),
+			Size:  rec[9],
+			Stall: rec[10],
+		}
+		flags := rec[11]
+		if flags&fuzzZeroData != 0 {
+			ev.Data = 0
+		}
+		if flags&fuzzZeroMeta != 0 {
+			ev.Kind, ev.Size, ev.Stall = 0, 0, 0
+		}
+		ev.Syscall = flags&fuzzSyscall != 0
+		if flags&fuzzAlignedPC != 0 {
+			ev.PC &^= 3
+		}
+		pattern = append(pattern, ev)
+	}
+	var evs []Event
+	for r := 0; r < reps && len(evs) < maxFuzzEvents; r++ {
+		evs = append(evs, pattern[:min(len(pattern), maxFuzzEvents-len(evs))]...)
+	}
+	return evs
+}
+
+// fuzzInput encodes events as a FuzzPackedRoundTrip input, with the
+// flags that reproduce each event exactly.
+func fuzzInput(reps byte, evs []Event) []byte {
+	out := []byte{reps}
+	for _, ev := range evs {
+		var rec [fuzzRecordBytes]byte
+		binary.LittleEndian.PutUint32(rec[0:4], ev.PC)
+		binary.LittleEndian.PutUint32(rec[4:8], ev.Data)
+		rec[8], rec[9], rec[10] = byte(ev.Kind), ev.Size, ev.Stall
+		if ev.Syscall {
+			rec[11] |= fuzzSyscall
+		}
+		out = append(out, rec[:]...)
+	}
+	return out
+}
+
+// FuzzPackedRoundTrip packs arbitrary events and requires every way of
+// reading the packed words back to reproduce them: Next, Batch and Skip
+// in random chunk sizes (partial skips included), and a DecodeAt walk
+// over RawWords. SkipScan from every event position must then land on
+// the word offset that walk found for the event it stops before.
+func FuzzPackedRoundTrip(f *testing.F) {
+	f.Add(fuzzInput(0, fuzzSeedEvents))
+	f.Add(fuzzInput(0, packedSamples()))
+	mixed := []Event{
+		{PC: 0x400000},
+		{PC: 0x400004, Stall: 2},
+		{PC: 0x400009, Kind: Store, Size: 1, Data: 0x1001},
+		{PC: 0x40000c, Kind: Load, Size: 4},
+		{PC: 0x400010, Syscall: true},
+		{PC: 0xfffffffc, Kind: 255, Size: 255, Stall: 255, Data: 0xffffffff},
+	}
+	for i := 0; i < 14; i++ {
+		mixed = append(mixed, Event{PC: 0x400100 + 4*uint32(i)})
+	}
+	f.Add(fuzzInput(255, mixed)) // 5120 events: crosses a skip-index block
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs := fuzzEvents(data)
+		r := &Recorded{}
+		for i := range evs {
+			r.Append(&evs[i])
+		}
+		if r.Len() != len(evs) {
+			t.Fatalf("Len = %d, want %d", r.Len(), len(evs))
+		}
+
+		c := r.NewCursor()
+		var ev Event
+		for i := range evs {
+			if !c.Next(&ev) || ev != evs[i] {
+				t.Fatalf("Next event %d = %+v, want %+v", i, ev, evs[i])
+			}
+		}
+		if c.Next(&ev) {
+			t.Fatalf("Next past the end returned %+v", ev)
+		}
+
+		var seed int64
+		for _, b := range data {
+			seed = seed*31 + int64(b)
+		}
+		rng := rand.New(rand.NewSource(seed)) //lint:allow determinism seeded from the fuzz input
+		c = r.NewCursor()
+		got := 0
+		for {
+			b := c.Batch(rng.Intn(2 * cursorBatchMax))
+			if len(b) == 0 && got == len(evs) {
+				break
+			}
+			for i, e := range b {
+				if got+i >= len(evs) || e != evs[got+i] {
+					t.Fatalf("Batch event %d = %+v, want %+v", got+i, e, evs[min(got+i, len(evs)-1)])
+				}
+			}
+			k := rng.Intn(len(b) + 1)
+			c.Skip(k)
+			got += k
+		}
+
+		words, w := r.NewCursor().RawWords()
+		offsets := make([]int, 0, len(evs)+1)
+		for i := 0; w < len(words); i++ {
+			if i >= len(evs) {
+				t.Fatalf("DecodeAt walk found more than %d events", len(evs))
+			}
+			offsets = append(offsets, w)
+			pc, meta, d, next := DecodeAt(words, w)
+			var e Event
+			setEvent(&e, pc, meta, d)
+			if e != evs[i] {
+				t.Fatalf("DecodeAt event %d at word %d = %+v, want %+v", i, w, e, evs[i])
+			}
+			w = next
+		}
+		if len(offsets) != len(evs) {
+			t.Fatalf("DecodeAt walk found %d events, want %d", len(offsets), len(evs))
+		}
+		offsets = append(offsets, len(words))
+
+		// nextSys[p] is the first syscall event at or after p.
+		nextSys := make([]int, len(evs)+1)
+		nextSys[len(evs)] = len(evs)
+		for p := len(evs) - 1; p >= 0; p-- {
+			nextSys[p] = nextSys[p+1]
+			if evs[p].Syscall {
+				nextSys[p] = p
+			}
+		}
+		c = r.NewCursor()
+		for p := 0; p <= len(evs); p++ {
+			if c.w != offsets[p] || c.wEv != p {
+				t.Fatalf("cursor at event %d: word %d, want %d", c.wEv, c.w, offsets[p])
+			}
+			max := 1 + rng.Intn(64)
+			if p%97 == 0 {
+				max = rng.Intn(maxFuzzEvents)
+			}
+			want, wantSys := min(max, len(evs)-p), false
+			if s := nextSys[p]; s < len(evs) && s-p+1 <= want {
+				want, wantSys = s-p+1, true
+			}
+			d := *c
+			n, sys := d.SkipScan(max)
+			if n != want || sys != wantSys || d.w != offsets[p+n] || d.wEv != p+n {
+				t.Fatalf("SkipScan(%d) from event %d = (%d, %v) at word %d; want (%d, %v) at word %d",
+					max, p, n, sys, d.w, want, wantSys, offsets[p+want])
+			}
+			if p < len(evs) {
+				if n, _ := c.SkipScan(1); n != 1 {
+					t.Fatalf("SkipScan(1) from event %d consumed %d", p, n)
+				}
+			}
+		}
+	})
+}
