@@ -37,8 +37,10 @@ lint:
 	$(GO) run ./cmd/cachelint ./...
 
 # verify: static checks (vet + cachelint), a full build, the test suite
-# under the race detector, and short fuzz smokes over the trace-file
-# reader and the packed trace format.
+# under the race detector, vet and tests of the nested perfbench module
+# (root ./... skips it, so an API change it depends on would otherwise
+# go unnoticed), and short fuzz smokes over the trace-file reader, the
+# packed trace format, and screening against the exact simulator.
 #
 # -timeout 20m: go test's default per-package limit, 10 minutes, is too
 # short under -race, where internal/experiments alone took 559-699 s on
@@ -49,8 +51,11 @@ verify: lint
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -timeout 20m ./...
+	GOFLAGS=-mod=mod GOWORK=off $(GO) -C perfbench vet ./...
+	GOFLAGS=-mod=mod GOWORK=off $(GO) -C perfbench test ./...
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzScreeningMatchesExact -fuzztime=10s ./internal/stackdist
 
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=5m ./internal/trace

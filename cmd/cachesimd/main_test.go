@@ -276,7 +276,13 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- d2.cmd.Wait() }()
+	// Wait closes the stdout pipe once the process exits, so it runs
+	// only after the scanner has read the pipe to EOF; otherwise the
+	// daemon's last lines can be lost.
+	go func() {
+		d2.waitScan()
+		done <- d2.cmd.Wait()
+	}()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -285,7 +291,6 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatalf("daemon did not drain after SIGTERM; output:\n%s", d2.output())
 	}
-	d2.waitScan()
 	if !strings.Contains(d2.output(), "drained, exiting") {
 		t.Fatalf("no clean drain message; output:\n%s", d2.output())
 	}

@@ -138,8 +138,9 @@ type CacheGeom struct {
 // Bytes returns the capacity in bytes.
 func (g CacheGeom) Bytes() int { return g.SizeWords * trace.WordBytes }
 
-// validate reports whether the geometry is implementable.
-func (g CacheGeom) validate(name string) error {
+// Validate reports whether the geometry is implementable; name labels
+// the cache in the error.
+func (g CacheGeom) Validate(name string) error {
 	switch {
 	case g.SizeWords <= 0 || g.LineWords <= 0 || g.Ways <= 0:
 		return fmt.Errorf("core: %s: nonpositive geometry %+v", name, g)
@@ -278,10 +279,10 @@ func SplitBank(u L2Bank) (i, d L2Bank) {
 
 // Validate checks the configuration for implementability.
 func (c *Config) Validate() error {
-	if err := c.L1I.validate("L1-I"); err != nil {
+	if err := c.L1I.Validate("L1-I"); err != nil {
 		return err
 	}
-	if err := c.L1D.validate("L1-D"); err != nil {
+	if err := c.L1D.Validate("L1-D"); err != nil {
 		return err
 	}
 	if c.l1iFetch()%c.L1I.LineWords != 0 || c.l1dFetch()%c.L1D.LineWords != 0 {
@@ -291,14 +292,14 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: bad write buffer shape %dx%dW", c.WBEntries, c.WBEntryWords)
 	}
 	if c.L2Split {
-		if err := c.L2I.Geom.validate("L2-I"); err != nil {
+		if err := c.L2I.Geom.Validate("L2-I"); err != nil {
 			return err
 		}
-		if err := c.L2D.Geom.validate("L2-D"); err != nil {
+		if err := c.L2D.Geom.Validate("L2-D"); err != nil {
 			return err
 		}
 	} else {
-		if err := c.L2U.Geom.validate("L2"); err != nil {
+		if err := c.L2U.Geom.Validate("L2"); err != nil {
 			return err
 		}
 	}

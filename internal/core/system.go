@@ -19,20 +19,9 @@ type l2bank struct {
 // issue cycle plus attributed stall cycles; the write buffer drains
 // against the same clock in the background.
 type System struct {
-	cfg Config
-	mmu *mmu.MMU
-
-	l1i, l1d *cache
-	l2i, l2d *l2bank // aliases of the same bank when unified
-	wb       *writeBuffer
-
-	l1iFetchBytes uint64
-	l1dFetchBytes uint64
-	// iRefillKeepsLine: an L1-I refill leaves the fetched line resident
-	// and most recently used in its set. It does unless the refill
-	// block spans more lines than L1-I has sets, when a later line of
-	// the block can land in the fetched line's set.
-	iRefillKeepsLine bool
+	l1Pair // the MMU, the caches, and the untimed model over them (warm.go)
+	cfg    Config
+	wb     *writeBuffer
 
 	now          uint64
 	memBusyUntil uint64 // main-memory occupancy from dirty-buffer drains
@@ -51,15 +40,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{
-		cfg:           cfg,
-		mmu:           m,
-		l1i:           newCache(cfg.L1I),
-		l1d:           newCache(cfg.L1D),
-		l1iFetchBytes: uint64(cfg.l1iFetch() * trace.WordBytes),
-		l1dFetchBytes: uint64(cfg.l1dFetch() * trace.WordBytes),
-	}
-	s.iRefillKeepsLine = uint64(cfg.l1iFetch()/cfg.L1I.LineWords) <= s.l1i.sets
+	s := &System{l1Pair: newL1Pair(m, &cfg), cfg: cfg}
 	if cfg.L2Split {
 		s.l2i = &l2bank{c: newCache(cfg.L2I.Geom), timing: cfg.L2I.Timing}
 		s.l2d = &l2bank{c: newCache(cfg.L2D.Geom), timing: cfg.L2D.Timing}

@@ -8,16 +8,20 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/sched"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// designSpaceDigest is the sha256 of every grid point's spec and
-// formatted sim.Result in TestDesignSpaceGolden. A change that only
-// speeds the simulator up must reproduce it exactly; one that moves
-// simulated numbers on purpose updates it and bumps
-// service.CodeVersion.
-const designSpaceDigest = "6f73cf75f45f9d63817f9540a1ad220f44cc3be9486ea80167686e7cf18b3d2d"
+// designSpaceDigest maps service.CodeVersion to the sha256 of every
+// grid point's spec and formatted sim.Result in TestDesignSpaceGolden
+// under that version. A change that only speeds the simulator up must
+// reproduce the current version's digest exactly; one that moves
+// simulated numbers on purpose bumps service.CodeVersion and records
+// the new digest under the new key.
+var designSpaceDigest = map[string]string{
+	"gaascache-sim/3": "6f73cf75f45f9d63817f9540a1ad220f44cc3be9486ea80167686e7cf18b3d2d",
+}
 
 // TestDesignSpaceGolden runs the exact simulator over a small grid of
 // the paper's design space — both presets x every write policy x every
@@ -56,7 +60,12 @@ func TestDesignSpaceGolden(t *testing.T) {
 	if points != 64 {
 		t.Fatalf("grid has %d valid points, want 64", points)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != designSpaceDigest {
-		t.Fatalf("design-space digest = %s, want %s: the exact simulator's output changed", got, designSpaceDigest)
+	got := hex.EncodeToString(h.Sum(nil))
+	want, ok := designSpaceDigest[service.CodeVersion]
+	if !ok {
+		t.Fatalf("no design-space digest for %s (got %s): CodeVersion bumped without recording a digest", service.CodeVersion, got)
+	}
+	if got != want {
+		t.Fatalf("design-space digest = %s, want %s: served bytes changed without a CodeVersion bump", got, want)
 	}
 }

@@ -9,9 +9,11 @@ import (
 	"repro/internal/trace"
 )
 
-// FilterStats counts the filter L1's traffic, mirroring the exact
-// simulator's corresponding Stats fields so screening CPI estimates
-// and validation tests can line the two up.
+// FilterStats counts the filter L1's traffic. The filter is core's
+// untimed L1 model (core.Filter), the one functional warming runs, so
+// each field counts exactly what the exact simulator's Stats field of
+// the same name counts; screening CPI estimates and validation tests
+// line the two up.
 type FilterStats struct {
 	L1IAccesses, L1IMisses        uint64
 	L1DReads, L1DReadMisses       uint64
@@ -27,13 +29,8 @@ type FilterStats struct {
 // (the analyzer has no invariant checker and no fault paths), so a
 // pass over a well-formed recording always completes.
 type Analyzer struct {
-	cfg    Config
-	mmu    *mmu.MMU
-	policy core.WritePolicy
-
 	classes [numClasses]*classAnalyzer
-	fl1i    *filterCache
-	fl1d    *filterCache
+	filter  *core.Filter
 
 	// now is the nominal clock: one cycle per instruction plus the
 	// trace's recorded CPU stalls. Cache timing never advances it, so
@@ -43,6 +40,7 @@ type Analyzer struct {
 	now          uint64
 	instructions uint64
 	maxPID       int
+	pid          int // the PID of the instruction being analyzed
 
 	// Fetch line run: fetchShift turns a fetch address into its line
 	// number at the finer of the filter L1-I and grid L1-I line sizes,
@@ -51,7 +49,7 @@ type Analyzer struct {
 	fetchShift uint
 	lastFetch  uint64
 
-	filter FilterStats
+	counts FilterStats
 }
 
 // New builds an analyzer for the configuration.
@@ -60,24 +58,19 @@ func New(cfg Config) (*Analyzer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m, err := mmu.New(cfg.MMU)
-	if err != nil {
-		return nil, fmt.Errorf("stackdist: MMU: %w", err)
-	}
-	a := &Analyzer{
-		cfg:       cfg,
-		mmu:       m,
-		policy:    cfg.FilterPolicy,
-		fl1i:      newFilterCache(cfg.FilterL1I),
-		fl1d:      newFilterCache(cfg.FilterL1D),
-		lastFetch: noLine,
-	}
+	a := &Analyzer{lastFetch: noLine}
 	a.classes[ClassL1I] = newClassAnalyzer(ClassL1I, cfg.L1I)
 	a.classes[ClassL1D] = newClassAnalyzer(ClassL1D, cfg.L1D)
 	a.classes[ClassL2U] = newClassAnalyzer(ClassL2U, cfg.L2)
 	a.classes[ClassL2I] = newClassAnalyzer(ClassL2I, cfg.L2)
 	a.classes[ClassL2D] = newClassAnalyzer(ClassL2D, cfg.L2)
-	a.fetchShift = min(a.fl1i.offBits, a.classes[ClassL1I].offBits)
+	f, err := core.NewFilter(cfg.FilterL1I, cfg.FilterL1D, cfg.FilterPolicy, cfg.MMU, l2Side{a})
+	if err != nil {
+		return nil, fmt.Errorf("stackdist: %w", err)
+	}
+	a.filter = f
+	filterShift := log2(uint64(cfg.FilterL1I.LineWords * trace.WordBytes))
+	a.fetchShift = min(filterShift, a.classes[ClassL1I].offBits)
 	return a, nil
 }
 
@@ -110,26 +103,47 @@ func (a *Analyzer) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 }
 
 // step analyzes one instruction: the fetch, then the data reference.
+// The filter runs each access and reports its physical address and
+// miss kind; its L2 references arrive through l2Side meanwhile.
 func (a *Analyzer) step(pid mmu.PID, ev *trace.Event) {
 	a.instructions++
 	a.now += 1 + uint64(ev.Stall)
-	if p := int(pid); p > a.maxPID {
+	p := int(pid)
+	a.pid = p
+	if p > a.maxPID {
 		a.maxPID = p
 	}
-	a.fetchInstruction(pid, ev.PC)
+	a.fetch(pid, p, ev.PC)
 	switch ev.Kind {
 	case trace.Load:
-		a.load(pid, ev.Data)
+		paddr, miss := a.filter.Load(pid, ev.Data)
+		a.classes[ClassL1D].access(paddr, false, p)
+		a.counts.L1DReads++
+		switch miss {
+		case core.NoMiss:
+		case core.LineMiss:
+			a.counts.L1DReadMisses++
+		case core.WriteOnlyMiss:
+			a.counts.L1DReadMisses++
+			a.counts.WriteOnlyReadMisses++
+		case core.WordMiss:
+			a.counts.L1DReadMisses++
+			a.counts.SubblockWordMisses++
+		}
 	case trace.Store:
-		a.store(pid, ev.Data, ev.Size)
+		paddr, miss := a.filter.Store(pid, ev.Data, ev.Size)
+		a.classes[ClassL1D].access(paddr, true, p)
+		a.counts.L1DWrites++
+		if miss != core.NoMiss {
+			a.counts.L1DWriteMisses++
+		}
 	case trace.None:
 		// Plain instruction: no data reference.
 	}
 }
 
-// fetchInstruction mirrors System.fetchInstruction without timing: the
-// L1-I stream feeds the ClassL1I stacks, and filter misses feed the
-// instruction side of the L2 stream.
+// fetch feeds one instruction fetch to the filter and the ClassL1I
+// stacks.
 //
 // A fetch from the same virtual line as the previous fetch, by the
 // same PID, only counts: its line is on top of every L1-I stack and
@@ -138,165 +152,43 @@ func (a *Analyzer) step(pid mmu.PID, ev *trace.Event) {
 // change nothing. It lands in bucket 0 of the first grid, which the
 // snapshot's prefix sum carries to the rest. Virtual line identity is
 // sound because a line never spans a page.
-func (a *Analyzer) fetchInstruction(pid mmu.PID, vaddr uint32) {
-	p := int(pid)
-	a.filter.L1IAccesses++
+func (a *Analyzer) fetch(pid mmu.PID, p int, vaddr uint32) {
+	a.counts.L1IAccesses++
 	key := uint64(pid)<<32 | uint64(vaddr>>a.fetchShift)
 	if key == a.lastFetch {
 		a.classes[ClassL1I].grids[0].count(0, false, p)
 		return
 	}
 	a.lastFetch = key
-	paddr, _ := a.mmu.TranslateI(pid, vaddr)
+	paddr, miss := a.filter.Fetch(pid, vaddr)
 	a.classes[ClassL1I].access(paddr, false, p)
-	f := a.fl1i
-	line := f.lineAddr(paddr)
-	if slot := f.find(line); slot >= 0 && f.flags[slot]&fValid != 0 {
-		f.touch(slot)
-		return
+	if miss != core.NoMiss {
+		a.counts.L1IMisses++
 	}
-	a.filter.L1IMisses++
-	a.l2Access(paddr, false, p, true)
-	f.insert(line, fValid, f.fullMask)
 }
 
-// l2Access feeds one secondary-cache reference to the unified class
-// and to the split class for its side.
-func (a *Analyzer) l2Access(addr uint64, write bool, pid int, instrSide bool) {
-	a.classes[ClassL2U].access(addr, write, pid)
+// l2Side is the filter's L2 side (core.L2Observer): it feeds each
+// secondary-cache reference, under the current PID, to the unified
+// class and to the split class for its side, and counts it.
+type l2Side struct{ a *Analyzer }
+
+func (o l2Side) L2Read(addr uint64, instrSide bool) {
+	a := o.a
+	a.classes[ClassL2U].access(addr, false, a.pid)
 	if instrSide {
-		a.classes[ClassL2I].access(addr, write, pid)
-		a.filter.L2IReads++
+		a.classes[ClassL2I].access(addr, false, a.pid)
+		a.counts.L2IReads++
 		return
 	}
-	a.classes[ClassL2D].access(addr, write, pid)
-	if write {
-		a.filter.L2DWrites++
-	} else {
-		a.filter.L2DReads++
-	}
+	a.classes[ClassL2D].access(addr, false, a.pid)
+	a.counts.L2DReads++
 }
 
-// refillData mirrors System.refill on the data side for a one-line
-// fetch: under write-back, the dirty victim's write lands in the L2
-// stream right after the refill read — the order the write buffer
-// produces under LPSNone, where every refill drains the buffer before
-// reading L2.
-func (a *Analyzer) refillData(paddr uint64, pid int) {
-	f := a.fl1d
-	line := f.lineAddr(paddr)
-	var victimAddr uint64
-	victimDirty := false
-	if a.policy == core.WriteBack {
-		slot := f.find(line)
-		if slot < 0 {
-			slot = f.victimSlot(line)
-		}
-		if f.tags[slot] != fTagInvalid && f.flags[slot]&fDirty != 0 {
-			victimDirty = true
-			victimAddr = f.tags[slot] << f.offBits
-			f.flags[slot] &^= fDirty
-		}
-	}
-	a.l2Access(paddr, false, pid, false)
-	if victimDirty {
-		a.l2Access(victimAddr, true, pid, false)
-	}
-	f.insert(line, fValid, f.fullMask)
-}
-
-// load mirrors System.load without timing.
-func (a *Analyzer) load(pid mmu.PID, vaddr uint32) {
-	paddr, _ := a.mmu.TranslateD(pid, vaddr)
-	p := int(pid)
-	a.classes[ClassL1D].access(paddr, false, p)
-	a.filter.L1DReads++
-	f := a.fl1d
-	line := f.lineAddr(paddr)
-	if slot := f.find(line); slot >= 0 {
-		fl := f.flags[slot]
-		switch {
-		case fl&fWriteOnly != 0:
-			a.filter.WriteOnlyReadMisses++
-		case a.policy == core.Subblock && f.masks[slot]&(1<<f.wordOf(paddr)) == 0:
-			a.filter.SubblockWordMisses++
-		case fl&fValid != 0:
-			f.touch(slot)
-			return
-		}
-	}
-	a.filter.L1DReadMisses++
-	a.refillData(paddr, p)
-}
-
-// store mirrors System.store without timing. Write-through policies
-// place the stored word in the L2 stream at store time — the order the
-// write buffer produces under LPSNone — and the per-policy allocation
-// behavior matches the simulator's state machine branch for branch.
-func (a *Analyzer) store(pid mmu.PID, vaddr uint32, size uint8) {
-	paddr, _ := a.mmu.TranslateD(pid, vaddr)
-	p := int(pid)
-	a.classes[ClassL1D].access(paddr, true, p)
-	a.filter.L1DWrites++
-	if a.policy != core.WriteBack {
-		a.l2Access(paddr&^3, true, p, false)
-	}
-	f := a.fl1d
-	line := f.lineAddr(paddr)
-	slot := f.find(line)
-
-	switch a.policy {
-	case core.WriteBack:
-		if slot >= 0 && f.flags[slot]&fValid != 0 {
-			f.flags[slot] |= fDirty
-			f.touch(slot)
-			return
-		}
-		a.filter.L1DWriteMisses++
-		a.refillData(paddr, p)
-		if slot = f.find(line); slot >= 0 {
-			f.flags[slot] |= fDirty
-		}
-
-	case core.WriteMissInvalidate:
-		if slot >= 0 && f.flags[slot]&fValid != 0 {
-			f.touch(slot)
-			return
-		}
-		a.filter.L1DWriteMisses++
-		victim := f.victimSlot(line)
-		if f.tags[victim] != fTagInvalid {
-			f.tags[victim] = fTagInvalid
-			f.flags[victim] = 0
-			f.masks[victim] = 0
-		}
-
-	case core.WriteOnly:
-		if slot >= 0 && f.flags[slot]&(fValid|fWriteOnly) != 0 {
-			f.flags[slot] |= fDirty
-			f.touch(slot)
-			return
-		}
-		a.filter.L1DWriteMisses++
-		f.insert(line, fWriteOnly|fDirty, 0)
-
-	case core.Subblock:
-		fullWord := size >= trace.WordBytes && paddr&3 == 0
-		if slot >= 0 && f.flags[slot]&fValid != 0 {
-			if fullWord {
-				f.masks[slot] |= 1 << f.wordOf(paddr)
-			}
-			f.flags[slot] |= fDirty
-			f.touch(slot)
-			return
-		}
-		a.filter.L1DWriteMisses++
-		var mask uint32
-		if fullWord {
-			mask = 1 << f.wordOf(paddr)
-		}
-		f.insert(line, fValid|fDirty, mask)
-	}
+func (o l2Side) L2Write(addr uint64) {
+	a := o.a
+	a.classes[ClassL2U].access(addr, true, a.pid)
+	a.classes[ClassL2D].access(addr, true, a.pid)
+	a.counts.L2DWrites++
 }
 
 // Analyze runs one pass over the processes under the round-robin

@@ -130,7 +130,7 @@ func (a *Analyzer) Result() *Result {
 	res := &Result{
 		Instructions:  a.instructions,
 		NominalCycles: a.now,
-		Filter:        a.filter,
+		Filter:        a.counts,
 	}
 	for i, c := range a.classes {
 		res.Classes[i] = c.snapshot(a.maxPID)

@@ -25,12 +25,15 @@
 // time-slice expiry (see EXPERIMENTS.md for the exactness domain).
 //
 // Reference classes: the L1-I and L1-D streams are analyzed directly;
-// a functional (untimed) model of one fixed L1 configuration — the
-// "filter" — generates the secondary-cache reference stream, which is
-// analyzed three ways (unified, instruction-only, data-only) so both
-// unified and split L2 organizations come out of the same pass. Reads
-// and writes are binned separately for write-policy screening, and
-// every histogram is also recorded per process.
+// one fixed L1 configuration — the "filter" — generates the
+// secondary-cache reference stream, which is analyzed three ways
+// (unified, instruction-only, data-only) so both unified and split L2
+// organizations come out of the same pass. The filter is core.Filter:
+// core's one untimed model of the L1 pair, the transitions functional
+// warming runs, with this package's L2 classes as its L2 side; this
+// package holds no write-policy logic. Reads and writes are binned
+// separately for write-policy screening, and every histogram is also
+// recorded per process.
 package stackdist
 
 import (
@@ -171,11 +174,11 @@ func (cfg Config) Validate() error {
 	if err := cfg.L2.validate("L2 grid"); err != nil {
 		return err
 	}
-	if err := validGeom("filter L1-I", cfg.FilterL1I); err != nil {
-		return err
+	if err := cfg.FilterL1I.Validate("filter L1-I"); err != nil {
+		return fmt.Errorf("stackdist: %w", err)
 	}
-	if err := validGeom("filter L1-D", cfg.FilterL1D); err != nil {
-		return err
+	if err := cfg.FilterL1D.Validate("filter L1-D"); err != nil {
+		return fmt.Errorf("stackdist: %w", err)
 	}
 	if cfg.FilterPolicy < core.WriteBack || cfg.FilterPolicy > core.Subblock {
 		return fmt.Errorf("stackdist: unknown filter write policy %d", int(cfg.FilterPolicy))
@@ -188,21 +191,6 @@ func (cfg Config) Validate() error {
 	}
 	if err := cfg.MMU.Validate(); err != nil {
 		return fmt.Errorf("stackdist: MMU: %w", err)
-	}
-	return nil
-}
-
-// validGeom mirrors core.CacheGeom's validation for the filter caches.
-func validGeom(name string, g core.CacheGeom) error {
-	switch {
-	case g.SizeWords <= 0 || g.LineWords <= 0 || g.Ways <= 0:
-		return fmt.Errorf("stackdist: %s: nonpositive geometry %+v", name, g)
-	case g.SizeWords%(g.LineWords*g.Ways) != 0:
-		return fmt.Errorf("stackdist: %s: size %dW not divisible by line %dW x ways %d", name, g.SizeWords, g.LineWords, g.Ways)
-	case !powerOfTwo(g.LineWords):
-		return fmt.Errorf("stackdist: %s: line %dW not a power of two", name, g.LineWords)
-	case !powerOfTwo(g.SizeWords / (g.LineWords * g.Ways)):
-		return fmt.Errorf("stackdist: %s: set count %d not a power of two", name, g.SizeWords/(g.LineWords*g.Ways))
 	}
 	return nil
 }
