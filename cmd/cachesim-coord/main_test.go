@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os/exec"
@@ -19,6 +20,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/fabric"
+	"repro/internal/service"
 )
 
 // buildBin compiles a command directory into a temp binary.
@@ -213,13 +217,17 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	// Phase 2: a repeated identical request is a cluster-wide cache hit
-	// — same home worker, X-Cache: hit, same bytes.
+	// — same home worker, X-Cache: hit, same bytes — answered by the
+	// coordinator's own tier without a second hop.
 	resp2, body2 := post(t, coord.base+"/v1/sweep", sweep)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("repeat sweep: %d %s", resp2.StatusCode, body2)
 	}
 	if resp2.Header.Get("X-Cache") != "hit" {
 		t.Fatalf("repeat sweep X-Cache=%q, want hit (cluster recomputed)", resp2.Header.Get("X-Cache"))
+	}
+	if got := resp2.Header.Get("X-Cache-Tier"); got != "coordinator" {
+		t.Fatalf("repeat sweep X-Cache-Tier=%q, want coordinator", got)
 	}
 	if got := resp2.Header.Get("X-Fabric-Worker"); got != home {
 		t.Fatalf("repeat sweep re-routed to %q (home %q): ring routing unstable", got, home)
@@ -260,28 +268,75 @@ func TestClusterEndToEnd(t *testing.T) {
 	// Phase 4: SIGKILL the home worker mid-fleet. Every subsequent
 	// request must still succeed — first by failover to the next
 	// replica, then, once the TTL drains the corpse, by direct routing.
+	// The coordinator's tier holds `sweep`, and a key it holds never
+	// reaches a worker, so these requests use keys it has not seen, each
+	// owned by the home worker on the ring (the coordinator runs the
+	// default vnodes). Their reference bodies come from the home worker
+	// directly, before the kill.
+	ring := fabric.NewRing([]string{"w1", "w2", "w3"}, fabric.DefaultVnodes)
+	var postKill []string
+	var refs [][]byte
+	for n := uint64(50_001); len(postKill) < 6; n++ {
+		key, err := service.SweepKey(service.SweepRequest{Experiment: "fig6", MaxInstructions: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner, err := ring.Owner(key); err != nil || owner != home {
+			continue
+		}
+		body := fmt.Sprintf(`{"experiment":"fig6","max_instructions":%d}`, n)
+		rr, ref := post(t, workers[home].base+"/v1/sweep", body)
+		if rr.StatusCode != http.StatusOK {
+			t.Fatalf("reference %s on the home worker: %d %s", body, rr.StatusCode, ref)
+		}
+		postKill = append(postKill, body)
+		refs = append(refs, ref)
+	}
 	if err := workers[home].cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		ri, bi := post(t, coord.base+"/v1/sweep", sweep)
+		ri, bi := post(t, coord.base+"/v1/sweep", postKill[i])
 		if ri.StatusCode != http.StatusOK {
 			t.Fatalf("request %d after kill: %d %s", i, ri.StatusCode, bi)
 		}
-		if !bytes.Equal(bi, clusterBody) {
-			t.Fatalf("request %d after kill: bytes differ from pre-kill serve", i)
+		if !bytes.Equal(bi, refs[i]) {
+			t.Fatalf("request %d after kill: bytes differ from the home worker's", i)
 		}
 		if got := ri.Header.Get("X-Fabric-Worker"); got == home {
 			t.Fatalf("request %d after kill attributed to the dead worker %q", i, got)
 		}
 	}
+	var m struct {
+		Failovers uint64 `json:"failovers"`
+	}
+	mresp, err := http.Get(coord.base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(mresp.Body).Decode(&m)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Failovers == 0 {
+		t.Fatal("no failover after the home worker died")
+	}
+	// What the coordinator's tier holds outlives the worker that
+	// produced it.
+	if rt, bt := post(t, coord.base+"/v1/sweep", sweep); rt.StatusCode != http.StatusOK || !bytes.Equal(bt, clusterBody) {
+		t.Fatalf("remembered sweep after kill: status %d, byte-identical=%v", rt.StatusCode, bytes.Equal(bt, clusterBody))
+	}
 	waitWorkers(t, coord.base, 2, 10*time.Second)
 
 	// After the ring settles, requests route straight to the new owner:
 	// still 200, still the same bytes.
-	rf, bf := post(t, coord.base+"/v1/sweep", sweep)
-	if rf.StatusCode != http.StatusOK || !bytes.Equal(bf, clusterBody) {
-		t.Fatalf("post-settle sweep: status %d, byte-identical=%v", rf.StatusCode, bytes.Equal(bf, clusterBody))
+	rf, bf := post(t, coord.base+"/v1/sweep", postKill[5])
+	if rf.StatusCode != http.StatusOK || !bytes.Equal(bf, refs[5]) {
+		t.Fatalf("post-settle sweep: status %d, byte-identical=%v", rf.StatusCode, bytes.Equal(bf, refs[5]))
+	}
+	if got := rf.Header.Get("X-Fabric-Worker"); got == home || rf.Header.Get("X-Cache-Tier") == "coordinator" {
+		t.Fatalf("post-settle sweep served by %q from tier %q, want a survivor's answer", got, rf.Header.Get("X-Cache-Tier"))
 	}
 
 	// The cluster report still carries heartbeat stats for survivors.

@@ -211,7 +211,9 @@ func (p *l1Pair) warmStore(pid mmu.PID, vaddr uint32, size uint8) (uint64, MissK
 			l1d.touch(slot)
 			return paddr, NoMiss
 		}
-		p.warmEvictFlags(l1d, line)
+		// Here and in the subblock case, evictFor's work is timing only:
+		// the displaced line's words already reached the write buffer,
+		// and insert rewrites the slot's flags, dirty bit included.
 		l1d.insert(line, flagWriteOnly|flagDirty, 0)
 
 	case Subblock:
@@ -224,7 +226,6 @@ func (p *l1Pair) warmStore(pid mmu.PID, vaddr uint32, size uint8) (uint64, MissK
 			l1d.touch(slot)
 			return paddr, NoMiss
 		}
-		p.warmEvictFlags(l1d, line)
 		var mask uint32
 		if fullWord {
 			mask = 1 << l1d.wordOf(paddr)
@@ -269,22 +270,6 @@ func (p *l1Pair) warmRefill(l1 *cache, bank *l2bank, paddr, fetchBytes uint64, i
 
 	for off := uint64(0); off < fetchBytes; off += lineBytes {
 		l1.insert(l1.lineAddr(block+off), flagValid, l1.fullMask)
-	}
-}
-
-// warmEvictFlags mirrors evictFor for the write-through policies, where
-// a displaced dirty line's data already reached the write buffer word
-// by word: only the loads-pass-stores dirty bit needs maintaining.
-func (p *l1Pair) warmEvictFlags(l1 *cache, line uint64) {
-	slot := l1.find(line)
-	if slot < 0 {
-		slot = l1.victimSlot(line)
-	}
-	if l1.tags[slot] == tagInvalid || l1.flags[slot]&flagDirty == 0 {
-		return
-	}
-	if p.dirtyBit {
-		l1.flags[slot] &^= flagDirty
 	}
 }
 

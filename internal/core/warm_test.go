@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // warmTestTrace builds a packed synthetic trace whose working sets
@@ -224,6 +225,36 @@ func TestWarmMatchesExactFinalState(t *testing.T) {
 			warm := replayWarm(t, cfg, rec)
 			if exact != warm {
 				t.Fatalf("cache state diverged: exact fingerprint %#x, warm %#x", exact, warm)
+			}
+		})
+	}
+}
+
+// TestWarmMatchesExactFinalStateByteStores is the same guarantee over
+// the kernel suite's queens recording, under every write policy. Its
+// byte stores are partial-word writes, which a subblock line must not
+// count as validating their word; the synthetic trace above stores full
+// words only.
+func TestWarmMatchesExactFinalStateByteStores(t *testing.T) {
+	var rec *trace.Recorded
+	for _, m := range workload.Members() {
+		if m.Name == "queens" {
+			rec = trace.Pack(m.NewStream(1))
+		}
+	}
+	if rec == nil {
+		t.Fatal("the kernel suite has no queens member")
+	}
+	for _, policy := range []WritePolicy{WriteBack, WriteMissInvalidate, WriteOnly, Subblock} {
+		t.Run(policy.String(), func(t *testing.T) {
+			cfg := Base()
+			cfg.WritePolicy = policy
+			exact := replayExact(t, cfg, rec)
+			if warm := replayWarm(t, cfg, rec); warm != exact {
+				t.Fatalf("cache state diverged: exact fingerprint %#x, WarmBatch %#x", exact, warm)
+			}
+			if scan := replayWarmScan(t, cfg, rec); scan != exact {
+				t.Fatalf("cache state diverged: exact fingerprint %#x, WarmScan %#x", exact, scan)
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -71,7 +70,11 @@ const (
 	defaultWorkerInflight = 32
 	defaultGridFanout     = 8
 	maxGridConfigs        = 1024
-	coordMaxBodyBytes     = 1 << 20
+	// resultEntries bounds the coordinator's result tier. Relayed
+	// /v1/sim bodies measured 1.3-2.7 KB and the benchmark's hot set is
+	// 160 keys, so 256 entries hold a hot set that size in well under
+	// 1 MB while a stream of one-off keys ages out of the LRU.
+	resultEntries = 256
 )
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
@@ -134,6 +137,9 @@ type Coordinator struct {
 	cl      *client.Client
 	mux     *http.ServeMux
 	baseCtx context.Context
+	// results is the coordinator's own tier: relayed result bodies by
+	// content address, each with the worker that produced it.
+	results *service.Cache
 
 	requests  atomic.Uint64 // result-producing API requests
 	errors    atomic.Uint64 // error responses on those endpoints
@@ -165,6 +171,7 @@ func NewCoordinator(ctx context.Context, o CoordinatorOptions) (*Coordinator, er
 		members:   NewMembership(o.HeartbeatTTL, o.Vnodes),
 		cl:        cl,
 		baseCtx:   ctx,
+		results:   service.NewCache(resultEntries),
 		slots:     make(map[string]chan struct{}),
 		perWorker: make(map[string]*workerCounters),
 		start:     coordNow(),
@@ -362,17 +369,6 @@ func (c *Coordinator) forward(ctx context.Context, path string, body []byte, key
 
 // --- HTTP helpers ----------------------------------------------------
 
-func coordWriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fmt.Fprintf(w, `{"error":"encode: %s"}`, err)
-		return
-	}
-	w.Write(append(data, '\n'))
-}
-
 // coordFail maps a routing error onto the status a resilient client
 // expects: empty ring and drain are 503 (retry later, elsewhere), a
 // fully failed scatter is 502 (the cluster is unhealthy, retryable),
@@ -395,7 +391,7 @@ func (c *Coordinator) coordFail(w http.ResponseWriter, err error) {
 	case http.StatusBadGateway:
 		w.Header().Set("Retry-After", "1")
 	}
-	coordWriteJSON(w, status, struct {
+	service.WriteJSON(w, status, struct {
 		Error string `json:"error"`
 	}{err.Error()})
 }
@@ -419,17 +415,43 @@ func relay(w http.ResponseWriter, res client.Result, worker string) {
 	w.Write(res.Body)
 }
 
-func coordDecode(w http.ResponseWriter, r *http.Request, into any) ([]byte, error) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, coordMaxBodyBytes))
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading body: %w", service.ErrBadRequest, err)
+// --- result tier -----------------------------------------------------
+
+// remember files a relayed result in the coordinator's tier under the
+// worker relay attributed it to. Only a 2xx leg whose X-Cache-Key is
+// the coordinator's own key qualifies: a worker built from other code
+// (another CodeVersion or request normalization) addresses its bytes
+// differently, and serving them under this build's address would break
+// content addressing. The copy is exact-size, so the tier's byte count
+// is what it holds.
+func (c *Coordinator) remember(key string, res client.Result, worker string) {
+	if res.Status/100 != 2 || res.Header.Get("X-Cache-Key") != key {
+		return
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		return nil, fmt.Errorf("%w: invalid JSON body: %w", service.ErrBadRequest, err)
+	if id := res.Header.Get(service.WorkerHeader); id != "" {
+		worker = id
 	}
-	return raw, nil
+	c.results.Put(key, worker, bytes.Clone(res.Body))
+}
+
+// serveRemembered answers key from the coordinator's tier if it holds
+// it: the same body bytes a worker would relay, marked as a hit of the
+// coordinator tier and attributed to the worker that produced them.
+// X-Fabric-Attempts is 0 because no leg ran.
+func (c *Coordinator) serveRemembered(w http.ResponseWriter, key string) bool {
+	body, worker, ok := c.results.Get(key)
+	if !ok {
+		return false
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("X-Cache", "hit")
+	h.Set("X-Cache-Tier", "coordinator")
+	h.Set("X-Cache-Key", key)
+	h.Set(service.WorkerHeader, worker)
+	h.Set("X-Fabric-Attempts", "0")
+	w.Write(body)
+	return true
 }
 
 // --- handlers --------------------------------------------------------
@@ -458,7 +480,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "2")
 	}
-	coordWriteJSON(w, status, body)
+	service.WriteJSON(w, status, body)
 }
 
 // ClusterWorker is one worker's row in the /v1/cluster report: the
@@ -470,13 +492,15 @@ type ClusterWorker struct {
 	Breaker *client.BreakerState `json:"breaker,omitempty"`
 }
 
-// ClusterState is the /v1/cluster response body.
+// ClusterState is the /v1/cluster response body. Cache is the
+// coordinator's own result tier.
 type ClusterState struct {
-	CodeVersion string          `json:"code_version"`
-	Vnodes      int             `json:"vnodes"`
-	Replicas    int             `json:"replicas"`
-	RingVersion uint64          `json:"ring_version"`
-	Workers     []ClusterWorker `json:"workers"`
+	CodeVersion string             `json:"code_version"`
+	Vnodes      int                `json:"vnodes"`
+	Replicas    int                `json:"replicas"`
+	RingVersion uint64             `json:"ring_version"`
+	Cache       service.CacheStats `json:"cache"`
+	Workers     []ClusterWorker    `json:"workers"`
 }
 
 func (c *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
@@ -500,16 +524,18 @@ func (c *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 		workers = append(workers, cw)
 	}
-	coordWriteJSON(w, http.StatusOK, ClusterState{
+	service.WriteJSON(w, http.StatusOK, ClusterState{
 		CodeVersion: service.CodeVersion,
 		Vnodes:      c.opts.Vnodes,
 		Replicas:    c.opts.Replicas,
 		RingVersion: c.members.Version(),
+		Cache:       c.results.Stats(),
 		Workers:     workers,
 	})
 }
 
-// MetricsSnapshot is the coordinator's /metrics body.
+// MetricsSnapshot is the coordinator's /metrics body. Cache is the
+// coordinator's own result tier.
 type MetricsSnapshot struct {
 	UptimeSeconds float64                   `json:"uptime_seconds"`
 	Requests      uint64                    `json:"requests"`
@@ -518,6 +544,7 @@ type MetricsSnapshot struct {
 	Failovers     uint64                    `json:"failovers"`
 	NoWorker      uint64                    `json:"no_worker_rejects"`
 	Workers       int                       `json:"workers"`
+	Cache         service.CacheStats        `json:"cache"`
 	PerWorker     map[string]workerCounters `json:"per_worker"`
 	Client        client.Stats              `json:"client"`
 	CodeVersion   string                    `json:"code_version"`
@@ -531,7 +558,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		per[id] = *wc
 	}
 	c.mu.Unlock()
-	coordWriteJSON(w, http.StatusOK, MetricsSnapshot{
+	service.WriteJSON(w, http.StatusOK, MetricsSnapshot{
 		UptimeSeconds: coordNow().Sub(c.start).Seconds(),
 		Requests:      c.requests.Load(),
 		Errors:        c.errors.Load(),
@@ -539,6 +566,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Failovers:     c.failovers.Load(),
 		NoWorker:      c.noWorker.Load(),
 		Workers:       c.members.Ring().Size(),
+		Cache:         c.results.Stats(),
 		PerWorker:     per,
 		Client:        c.cl.Stats(),
 		CodeVersion:   service.CodeVersion,
@@ -559,7 +587,7 @@ func (c *Coordinator) handleExperiments(w http.ResponseWriter, r *http.Request) 
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	c.requests.Add(1)
 	var req service.SweepRequest
-	raw, err := coordDecode(w, r, &req)
+	raw, err := service.ReadJSON(w, r, &req)
 	if err != nil {
 		c.coordFail(w, err)
 		return
@@ -569,22 +597,13 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		c.coordFail(w, err)
 		return
 	}
-	if c.isDraining() {
-		c.coordFail(w, fmt.Errorf("fabric: coordinator: %w", service.ErrDraining))
-		return
-	}
-	res, worker, err := c.forward(r.Context(), "/v1/sweep", raw, key)
-	if err != nil {
-		c.coordFail(w, err)
-		return
-	}
-	relay(w, res, worker)
+	c.serveKeyed(w, r, "/v1/sweep", raw, key)
 }
 
 func (c *Coordinator) handleSim(w http.ResponseWriter, r *http.Request) {
 	c.requests.Add(1)
 	var req service.SimRequest
-	raw, err := coordDecode(w, r, &req)
+	raw, err := service.ReadJSON(w, r, &req)
 	if err != nil {
 		c.coordFail(w, err)
 		return
@@ -594,15 +613,26 @@ func (c *Coordinator) handleSim(w http.ResponseWriter, r *http.Request) {
 		c.coordFail(w, err)
 		return
 	}
+	c.serveKeyed(w, r, "/v1/sim", raw, key)
+}
+
+// serveKeyed answers one validated, keyed request: 503 while draining,
+// else from the coordinator's tier, else by forwarding it to the key's
+// ring owner and remembering the answer.
+func (c *Coordinator) serveKeyed(w http.ResponseWriter, r *http.Request, path string, raw []byte, key string) {
 	if c.isDraining() {
 		c.coordFail(w, fmt.Errorf("fabric: coordinator: %w", service.ErrDraining))
 		return
 	}
-	res, worker, err := c.forward(r.Context(), "/v1/sim", raw, key)
+	if c.serveRemembered(w, key) {
+		return
+	}
+	res, worker, err := c.forward(r.Context(), path, raw, key)
 	if err != nil {
 		c.coordFail(w, err)
 		return
 	}
+	c.remember(key, res, worker)
 	relay(w, res, worker)
 }
 
@@ -640,7 +670,7 @@ type GridResponse struct {
 func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 	c.requests.Add(1)
 	var req GridRequest
-	if _, err := coordDecode(w, r, &req); err != nil {
+	if _, err := service.ReadJSON(w, r, &req); err != nil {
 		c.coordFail(w, err)
 		return
 	}
@@ -685,13 +715,18 @@ func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Scatter under the fan-out bound; gather by index so the merged
-	// body is input-ordered regardless of completion order.
+	// Scatter the sub-requests the coordinator's tier does not hold
+	// under the fan-out bound; gather by index so the merged body is
+	// input-ordered regardless of completion order.
 	entries := make([]GridEntry, len(subs))
 	errs := make([]error, len(subs))
 	sem := make(chan struct{}, c.opts.GridFanout)
 	var wg sync.WaitGroup
 	for i := range subs {
+		if body, _, ok := c.results.Get(subs[i].key); ok {
+			entries[i] = GridEntry{Key: subs[i].key, Response: body}
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -702,11 +737,12 @@ func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			defer func() { <-sem }()
-			res, _, err := c.forward(r.Context(), "/v1/sim", subs[i].body, subs[i].key)
+			res, worker, err := c.forward(r.Context(), "/v1/sim", subs[i].body, subs[i].key)
 			if err != nil {
 				errs[i] = err
 				return
 			}
+			c.remember(subs[i].key, res, worker)
 			entries[i] = GridEntry{Key: subs[i].key, Response: json.RawMessage(res.Body)}
 		}(i)
 	}
@@ -717,7 +753,7 @@ func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	coordWriteJSON(w, http.StatusOK, GridResponse{
+	service.WriteJSON(w, http.StatusOK, GridResponse{
 		CodeVersion: service.CodeVersion,
 		Count:       len(entries),
 		Entries:     entries,
@@ -741,7 +777,7 @@ type RegisterResponse struct {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if _, err := coordDecode(w, r, &req); err != nil {
+	if _, err := service.ReadJSON(w, r, &req); err != nil {
 		c.coordFail(w, err)
 		return
 	}
@@ -754,7 +790,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if joined {
 		status = "joined"
 	}
-	coordWriteJSON(w, http.StatusOK, RegisterResponse{
+	service.WriteJSON(w, http.StatusOK, RegisterResponse{
 		Status:            status,
 		HeartbeatSeconds:  (c.opts.HeartbeatTTL / 3).Seconds(),
 		MembershipVersion: c.members.Version(),

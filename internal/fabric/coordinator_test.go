@@ -21,12 +21,18 @@ import (
 // fakeWorker is a stand-in cachesimd: it answers every /v1 request with
 // a deterministic JSON body (so byte-identity assertions hold no matter
 // which worker answers a re-routed request) and stamps its fabric
-// identity header like a real worker daemon.
+// identity header and the request's content address like a real worker
+// daemon.
 type fakeWorker struct {
 	id      string
 	srv     *httptest.Server
 	hits    atomic.Int64
 	delayNs atomic.Int64
+	// status, when set, is returned with an error body instead of a
+	// result; skewKey stamps a content address other than the
+	// coordinator's, as a worker built from other code would.
+	status  atomic.Int64
+	skewKey atomic.Bool
 }
 
 func newFakeWorker(t *testing.T, id string) *fakeWorker {
@@ -42,10 +48,18 @@ func newFakeWorker(t *testing.T, id string) *fakeWorker {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
+		if st := w.status.Load(); st != 0 {
+			http.Error(rw, `{"error":"injected"}`, int(st))
+			return
+		}
 		h := rw.Header()
 		h.Set("Content-Type", "application/json")
 		h.Set("X-Cache", "miss")
-		h.Set("X-Cache-Key", "deadbeef")
+		key := contentAddress(r.URL.Path, body)
+		if w.skewKey.Load() {
+			key = "skewed-" + key
+		}
+		h.Set("X-Cache-Key", key)
 		h.Set(service.WorkerHeader, id)
 		// Body depends only on the request, never on the worker: real
 		// workers are deterministic the same way.
@@ -53,6 +67,25 @@ func newFakeWorker(t *testing.T, id string) *fakeWorker {
 	}))
 	t.Cleanup(w.srv.Close)
 	return w
+}
+
+// contentAddress is the key a real worker stamps on a result: the
+// service's own SweepKey or SimKey of the request ("" for other paths).
+func contentAddress(path string, body []byte) string {
+	var key string
+	switch path {
+	case "/v1/sweep":
+		var req service.SweepRequest
+		if json.Unmarshal(body, &req) == nil {
+			key, _ = service.SweepKey(req)
+		}
+	case "/v1/sim":
+		var req service.SimRequest
+		if json.Unmarshal(body, &req) == nil {
+			key, _ = service.SimKey(req)
+		}
+	}
+	return key
 }
 
 func testCoordOptions() CoordinatorOptions {
@@ -138,14 +171,19 @@ func TestCoordinatorNoWorkersIs503(t *testing.T) {
 // TestCoordinatorRoutesByContentAddress: every request lands on the
 // ring owner of its content address, repeatedly — the property that
 // keeps each shard's cache hot and makes the cluster compute nothing
-// twice.
+// twice. The repeat goes through a second coordinator over the same
+// workers, because the first one answers a repeat from its own tier
+// without routing it; the ring is a pure function of the member set, so
+// both must pick the same owner.
 func TestCoordinatorRoutesByContentAddress(t *testing.T) {
 	c, ts := newTestCoordinator(t, testCoordOptions())
+	_, ts2 := newTestCoordinator(t, testCoordOptions())
 	workers := map[string]*fakeWorker{}
 	for _, id := range []string{"w1", "w2", "w3"} {
 		w := newFakeWorker(t, id)
 		workers[id] = w
 		register(t, ts.URL, w)
+		register(t, ts2.URL, w)
 	}
 
 	for scale := 1; scale <= 16; scale++ {
@@ -159,13 +197,17 @@ func TestCoordinatorRoutesByContentAddress(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := fmt.Sprintf(`{"experiment":"fig5","scale":%d}`, scale)
-		for rep := 0; rep < 2; rep++ {
-			resp, data := postJSON(t, ts.URL+"/v1/sweep", body)
+		for rep, coord := range []string{ts.URL, ts2.URL} {
+			before := workers[owner].hits.Load()
+			resp, data := postJSON(t, coord+"/v1/sweep", body)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("scale %d: %d %s", scale, resp.StatusCode, data)
 			}
 			if got := resp.Header.Get(service.WorkerHeader); got != owner {
 				t.Fatalf("scale %d rep %d served by %q, ring owner is %q", scale, rep, got, owner)
+			}
+			if workers[owner].hits.Load() != before+1 {
+				t.Fatalf("scale %d rep %d did not reach the owner %q", scale, rep, owner)
 			}
 		}
 	}
@@ -213,15 +255,19 @@ func TestCoordinatorFailover(t *testing.T) {
 	}
 
 	// After the membership drains the dead worker, routing goes straight
-	// to the survivor: no failover hop, no error.
+	// to the survivor: no failover hop, no error. The request uses a key
+	// the coordinator's tier does not hold, so it is routed.
 	c.Membership().Remove(victim.id)
-	before := c.failovers.Load()
-	resp2, data2 := postJSON(t, ts.URL+"/v1/sweep", `{"experiment":"fig5"}`)
+	before, hits := c.failovers.Load(), survivor.hits.Load()
+	resp2, data2 := postJSON(t, ts.URL+"/v1/sweep", `{"experiment":"fig5","scale":2}`)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-drain request: %d %s", resp2.StatusCode, data2)
 	}
 	if got := c.failovers.Load(); got != before {
 		t.Fatalf("post-drain request needed a failover (%d -> %d)", before, got)
+	}
+	if survivor.hits.Load() != hits+1 {
+		t.Fatal("post-drain request did not reach the survivor")
 	}
 }
 
@@ -433,14 +479,28 @@ func TestCoordinatorExperimentsProxy(t *testing.T) {
 	}
 }
 
+// TestCoordinatorDrain: a draining coordinator refuses result requests
+// with 503, including one its own tier could answer.
 func TestCoordinatorDrain(t *testing.T) {
 	c, ts := newTestCoordinator(t, testCoordOptions())
 	register(t, ts.URL, newFakeWorker(t, "w1"))
+	if resp, data := postJSON(t, ts.URL+"/v1/sweep", `{"experiment":"fig5"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep before drain: %d %s", resp.StatusCode, data)
+	}
 	c.BeginDrain()
 
-	resp, _ := postJSON(t, ts.URL+"/v1/sweep", `{"experiment":"fig5"}`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining sweep: %d, want 503", resp.StatusCode)
+	for _, req := range []struct{ path, body string }{
+		{"/v1/sweep", `{"experiment":"fig5"}`},
+		{"/v1/sim", `{"config":{"preset":"base"}}`},
+		{"/v1/grid", `{"configs":[{"preset":"base"}]}`},
+	} {
+		resp, _ := postJSON(t, ts.URL+req.path, req.body)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("draining %s: %d, want 503", req.path, resp.StatusCode)
+		}
+	}
+	if st := c.results.Stats(); st.Hits != 0 {
+		t.Fatalf("a draining coordinator served %d results from its tier", st.Hits)
 	}
 	rz, err := http.Get(ts.URL + "/readyz")
 	if err != nil {

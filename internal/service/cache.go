@@ -6,9 +6,11 @@ import (
 )
 
 // Cache is the content-addressed result store: key = canonical request
-// hash, value = the exact response bytes served for it. Entries are
-// immutable once stored (determinism means there is never a fresher
-// answer), so the only management policy needed is LRU bounding.
+// hash, value = the exact response bytes served for it, plus the origin
+// that produced them (the fabric coordinator records the worker; a
+// daemon records its own worker ID). Entries are immutable once stored
+// (determinism means there is never a fresher answer), so the only
+// management policy needed is LRU bounding.
 type Cache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -22,8 +24,9 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	body []byte
+	key    string
+	origin string
+	body   []byte
 }
 
 // NewCache returns a cache bounded to maxEntries results (>= 1).
@@ -38,28 +41,30 @@ func NewCache(maxEntries int) *Cache {
 	}
 }
 
-// Get returns the stored bytes for key. The returned slice is shared
-// and must not be modified.
-func (c *Cache) Get(key string) ([]byte, bool) {
+// Get returns the stored bytes for key and the origin they were stored
+// with. The returned slice is shared and must not be modified.
+func (c *Cache) Get(key string) (body []byte, origin string, ok bool) {
 	if key == "" {
-		return nil, false
+		return nil, "", false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil, "", false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	e := el.Value.(*cacheEntry)
+	return e.body, e.origin, true
 }
 
-// Put stores body under key, evicting least-recently-used entries to
-// stay within the bound. Storing an existing key refreshes its
-// recency; the body is identical by construction.
-func (c *Cache) Put(key string, body []byte) {
+// Put stores body, produced by origin, under key, evicting
+// least-recently-used entries to stay within the bound. Storing an
+// existing key refreshes its recency; the body is identical by
+// construction, and the first origin is kept.
+func (c *Cache) Put(key, origin string, body []byte) {
 	if key == "" {
 		return
 	}
@@ -69,7 +74,7 @@ func (c *Cache) Put(key string, body []byte) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, body: body})
+	el := c.ll.PushFront(&cacheEntry{key: key, origin: origin, body: body})
 	c.items[key] = el
 	c.bytes += int64(len(body))
 	for c.ll.Len() > c.maxEntries {

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -329,7 +331,7 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key string,
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1)
 
-	if body, ok := s.cache.Get(key); ok {
+	if body, _, ok := s.cache.Get(key); ok {
 		s.respond(w, start, "hit", "memory", key, body)
 		return
 	}
@@ -338,7 +340,7 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key string,
 			// Promote the disk hit so repeats are memory-fast. The
 			// stored bytes passed their CRC; they are the exact bytes
 			// a fresh simulation would produce.
-			s.cache.Put(key, body)
+			s.cache.Put(key, s.opts.WorkerID, body)
 			s.respond(w, start, "hit", "disk", key, body)
 			return
 		}
@@ -356,7 +358,7 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key string,
 		if err != nil {
 			return nil, err
 		}
-		s.cache.Put(key, b)
+		s.cache.Put(key, s.opts.WorkerID, b)
 		if s.store != nil {
 			// A persist failure only costs durability of this one
 			// entry; the client still gets its freshly computed bytes.
@@ -443,22 +445,30 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	case http.StatusServiceUnavailable:
 		w.Header().Set("Retry-After", "2")
 	}
-	writeJSON(w, status, struct {
+	WriteJSON(w, status, struct {
 		Error string `json:"error"`
 	}{err.Error()})
 }
 
-// decode reads a bounded JSON request body strictly.
-func decode(w http.ResponseWriter, r *http.Request, into any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// ReadJSON reads a request body of at most 1 MiB and decodes it
+// strictly (an unknown field is an error) into into. It also returns
+// the raw bytes, so a proxy forwards exactly what it validated. Every
+// failure wraps ErrBadRequest.
+func ReadJSON(w http.ResponseWriter, r *http.Request, into any) ([]byte, error) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		return nil, fmt.Errorf("%w: reading body: %w", ErrBadRequest, err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		return fmt.Errorf("%w: invalid JSON body: %w", ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: invalid JSON body: %w", ErrBadRequest, err)
 	}
-	return nil
+	return raw, nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v, indented, as a JSON body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	data, err := json.MarshalIndent(v, "", "  ")
@@ -493,11 +503,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case body.Store.Mode == "degraded":
 		body.Status = "degraded"
 	}
-	writeJSON(w, status, body)
+	WriteJSON(w, status, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	WriteJSON(w, http.StatusOK, s.Metrics())
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -522,12 +532,12 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		}
 		list = append(list, entry{e.ID, e.Title, fids})
 	}
-	writeJSON(w, http.StatusOK, list)
+	WriteJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decode(w, r, &req); err != nil {
+	if _, err := ReadJSON(w, r, &req); err != nil {
 		s.metrics.requests.Add(1)
 		s.fail(w, err)
 		return
@@ -567,7 +577,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	var req SimRequest
-	if err := decode(w, r, &req); err != nil {
+	if _, err := ReadJSON(w, r, &req); err != nil {
 		s.metrics.requests.Add(1)
 		s.fail(w, err)
 		return

@@ -19,7 +19,7 @@ import (
 
 // newTestServer builds a Server with an injected sweep runner, so tests
 // can count and pace "simulations" without paying for real ones.
-func newTestServer(t *testing.T, o Options, runSweep func(SweepRequest) (string, error)) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, o Options, runSweep func(SweepRequest) (string, error)) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(o)
 	if err != nil {
@@ -485,16 +485,16 @@ func TestSimEndpointCachesReport(t *testing.T) {
 
 func TestCacheLRUBoundAndStats(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", []byte("aaaa"))
-	c.Put("b", []byte("bb"))
-	if _, ok := c.Get("a"); !ok { // refresh a; b is now LRU
-		t.Fatal("a missing")
+	c.Put("a", "w1", []byte("aaaa"))
+	c.Put("b", "w2", []byte("bb"))
+	if _, origin, ok := c.Get("a"); !ok || origin != "w1" { // refresh a; b is now LRU
+		t.Fatalf("a missing or origin %q, want w1", origin)
 	}
-	c.Put("c", []byte("cccccc")) // evicts b
-	if _, ok := c.Get("b"); ok {
+	c.Put("c", "w2", []byte("cccccc")) // evicts b
+	if _, _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, _, ok := c.Get("a"); !ok {
 		t.Fatal("a should have survived (recently used)")
 	}
 	st := c.Stats()

@@ -42,7 +42,7 @@ func corruptNewestSegment(t *testing.T, dir string) {
 	}
 }
 
-func openStore(t *testing.T, dir string) *store.Store {
+func openStore(t testing.TB, dir string) *store.Store {
 	t.Helper()
 	st, err := store.Open(store.Options{Dir: dir, Sync: store.SyncNever})
 	if err != nil {
