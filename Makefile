@@ -17,7 +17,8 @@ test:
 # (BenchmarkOnePassGrid vs BenchmarkExactGridConfigByConfig) and the
 # per-layer benchmarks (trace Batch decode and SkipScan, MMU
 # translation, core StepBatch, StepScan and WarmScan, stackdist
-# Analyze, the service's loopback hit per tier, the fabric's
+# Analyze per served class set, sampled simulation's skip, warm and
+# measure phases, the service's loopback hit per tier, the fabric's
 # coordinator-tier hit and forward hop) — and keep a machine-readable
 # log of the results (name -> ns/op + reported metrics, plus the host's
 # GOMAXPROCS, CPU count and Go version), stamped with the commit it measured ("-dirty" when the tree
@@ -28,7 +29,7 @@ test:
 #   go run ./cmd/benchjson -compare BENCH_<old>.json BENCH_<new>.json
 bench:
 	sha="$$(git describe --always --dirty 2>/dev/null || echo unknown)"; \
-	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/trace ./internal/mmu ./internal/core ./internal/stackdist ./internal/service ./internal/fabric | $(GO) run ./cmd/benchjson \
+	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/trace ./internal/mmu ./internal/core ./internal/stackdist ./internal/sample ./internal/service ./internal/fabric | $(GO) run ./cmd/benchjson \
 		-sha "$$sha" -o "BENCH_$$(date +%Y-%m-%d)-$$sha.json"
 
 # lint: the repo-specific cachelint suite (internal/lint): nopanic,

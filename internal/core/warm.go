@@ -239,12 +239,17 @@ func (p *l1Pair) warmStore(pid mmu.PID, vaddr uint32, size uint8) (uint64, MissK
 // aligned fetch block (Config.Validate guarantees it fits one L2 line),
 // and the L1 inserts. Write-back victim probes of L2 are deferred until
 // after the read to match the write buffer's FIFO order.
+//
+// The victim scan runs only where it can act: under write-back, which
+// collects victims, or under the dirty bit, which clears flags. A
+// write-through policy without the dirty bit would probe every line of
+// the block and change nothing.
 func (p *l1Pair) warmRefill(l1 *cache, bank *l2bank, paddr, fetchBytes uint64, instrSide bool) {
 	block := paddr &^ (fetchBytes - 1)
 	lineBytes := uint64(l1.geom.LineWords * trace.WordBytes)
 	var victimBuf [8]uint64
 	victims := victimBuf[:0]
-	if !instrSide {
+	if !instrSide && (p.policy == WriteBack || p.dirtyBit) {
 		for off := uint64(0); off < fetchBytes; off += lineBytes {
 			line := l1.lineAddr(block + off)
 			slot := l1.find(line)
@@ -256,10 +261,8 @@ func (p *l1Pair) warmRefill(l1 *cache, bank *l2bank, paddr, fetchBytes uint64, i
 			}
 			if p.policy == WriteBack {
 				victims = append(victims, l1.tags[slot]<<l1.offBits)
-				l1.flags[slot] &^= flagDirty
-			} else if p.dirtyBit {
-				l1.flags[slot] &^= flagDirty
 			}
+			l1.flags[slot] &^= flagDirty
 		}
 	}
 

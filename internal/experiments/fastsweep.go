@@ -84,28 +84,36 @@ func mustAnalyze(res *stackdist.Result, _ sched.Result, err error) *stackdist.Re
 
 // FastSweep screens the design space over the paper-calibrated
 // workload: one pass, every grid point of ScreeningGrid.
-func FastSweep(o Options) *FastSweepResult {
-	o = o.normalized()
-	rec := workload.RecordPaperLike(o.Level, uint64(400_000)*uint64(o.Scale))
-	return fastSweepOver("paper-calibrated workload", rec, o)
-}
+func FastSweep(o Options) *FastSweepResult { return screenPaper(o, 0) }
 
 // FastSweepSuite screens over the recorded kernel suite — the workload
 // the exact Fig. 7/8 sweeps run — so screening and exact speed-size
 // tables are directly comparable.
-func FastSweepSuite(o Options) *FastSweepResult {
+func FastSweepSuite(o Options) *FastSweepResult { return screenSuite(o, 0) }
+
+// screenPaper is FastSweep analyzing only the given classes (zero: all).
+// The tables of unselected classes come out empty.
+func screenPaper(o Options, classes stackdist.ClassSet) *FastSweepResult {
 	o = o.normalized()
-	return fastSweepOver("kernel suite", workload.Record(o.Scale), o)
+	rec := workload.RecordPaperLike(o.Level, uint64(400_000)*uint64(o.Scale))
+	return fastSweepOver("paper-calibrated workload", rec, o, classes)
 }
 
-func fastSweepOver(label string, rec []workload.Recorded, o Options) *FastSweepResult {
-	res := mustAnalyze(stackdist.Analyze(ScreeningGrid(), workload.ReplayProcesses(rec), sched.Config{
+// screenSuite is FastSweepSuite analyzing only the given classes.
+func screenSuite(o Options, classes stackdist.ClassSet) *FastSweepResult {
+	o = o.normalized()
+	return fastSweepOver("kernel suite", workload.Record(o.Scale), o, classes)
+}
+
+func fastSweepOver(label string, rec []workload.Recorded, o Options, classes stackdist.ClassSet) *FastSweepResult {
+	grid := ScreeningGrid()
+	grid.Classes = classes
+	res := mustAnalyze(stackdist.Analyze(grid, workload.ReplayProcesses(rec), sched.Config{
 		Level:           o.Level,
 		TimeSlice:       o.TimeSlice,
 		MaxInstructions: o.MaxInstructions,
 	}))
 	fs := &FastSweepResult{Workload: label, Res: res}
-	grid := ScreeningGrid()
 	for _, size := range grid.L1I.SizesWords {
 		for _, ways := range grid.L1I.Ways {
 			if mr, ok := res.Class(stackdist.ClassL1I).MissRatio(size, ways); ok {
@@ -322,22 +330,45 @@ func SupportsScreening(id string) bool {
 
 // RunScreening produces the screening-fidelity output for id: the same
 // tables as the exact experiment, computed from one analyzer pass per
-// workload instead of one simulation per configuration.
+// workload instead of one simulation per configuration. Each pass
+// analyzes only the classes id's tables read (screeningClasses).
 func RunScreening(id string, o Options) (string, error) {
-	o = o.normalized()
+	return screeningTables(id, o, screeningClasses(id))
+}
+
+// screeningClasses is the set of reference classes id's screening
+// tables read: Fig. 6 and Table 2 the three L2 views, Fig. 7 the
+// instruction bank, Fig. 8 the data bank. fastsweep prints every class.
+// Leaving the others out is exact: classes share no state, and the
+// filter, which drives them all, runs in full whatever the set.
+func screeningClasses(id string) stackdist.ClassSet {
+	switch id {
+	case "fig6", "table2":
+		return stackdist.ClassesOf(stackdist.ClassL2U, stackdist.ClassL2I, stackdist.ClassL2D)
+	case "fig7":
+		return stackdist.ClassesOf(stackdist.ClassL2I)
+	case "fig8":
+		return stackdist.ClassesOf(stackdist.ClassL2D)
+	}
+	return 0
+}
+
+// screeningTables formats id's screening tables from passes that
+// analyze the given classes (zero: all).
+func screeningTables(id string, o Options, classes stackdist.ClassSet) (string, error) {
 	switch id {
 	case "fig6":
-		return "kernel suite:\nestimated " + FormatFig6(FastSweepSuite(o).Grid) +
-			"\npaper-calibrated workload:\nestimated " + FormatFig6(FastSweep(o).Grid), nil
+		return "kernel suite:\nestimated " + FormatFig6(screenSuite(o, classes).Grid) +
+			"\npaper-calibrated workload:\nestimated " + FormatFig6(screenPaper(o, classes).Grid), nil
 	case "table2":
-		return "kernel suite:\n" + FormatTable2(FastSweepSuite(o).Grid) +
-			"\npaper-calibrated workload:\n" + FormatTable2(FastSweep(o).Grid), nil
+		return "kernel suite:\n" + FormatTable2(screenSuite(o, classes).Grid) +
+			"\npaper-calibrated workload:\n" + FormatTable2(screenPaper(o, classes).Grid), nil
 	case "fig7":
-		return FormatSpeedSize("L2-I (screening)", FastSweepSuite(o).Fig7), nil
+		return FormatSpeedSize("L2-I (screening)", screenSuite(o, classes).Fig7), nil
 	case "fig8":
-		return FormatSpeedSize("L2-D (screening)", FastSweepSuite(o).Fig8), nil
+		return FormatSpeedSize("L2-D (screening)", screenSuite(o, classes).Fig8), nil
 	case "fastsweep":
-		return FormatFastSweep(FastSweep(o)), nil
+		return FormatFastSweep(screenPaper(o, classes)), nil
 	}
 	return "", fmt.Errorf("experiments: no screening mode for %q (have %s)",
 		id, strings.Join(screeningIDs, ", "))

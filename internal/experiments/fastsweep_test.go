@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/stackdist"
 )
 
 // screenOpt keeps screening tests fast: a small multiprogramming level
@@ -89,6 +91,53 @@ func TestRunScreeningRegistry(t *testing.T) {
 	}
 	if _, err := ScreeningComparison("fig2", screenOpt); err == nil {
 		t.Error("ScreeningComparison(fig2): want error")
+	}
+}
+
+// TestRunScreeningMatchesFullPasses requires each screening id's
+// output, computed from passes over only the classes its tables read,
+// to equal the same tables formatted from full five-class passes, at
+// two caps. It also requires each id's class set to hold no class its
+// tables leave unread: dropping any one class changes the tables, and
+// only fastsweep, which prints every class, analyzes all five.
+func TestRunScreeningMatchesFullPasses(t *testing.T) {
+	all := stackdist.ClassesOf(stackdist.ClassL1I, stackdist.ClassL1D,
+		stackdist.ClassL2U, stackdist.ClassL2I, stackdist.ClassL2D)
+	for i, max := range []uint64{60_000, 200_000} {
+		o := screenOpt
+		o.MaxInstructions = max
+		for _, id := range ScreeningIDs() {
+			full, err := screeningTables(id, o, 0)
+			if err != nil {
+				t.Fatalf("%s full passes: %v", id, err)
+			}
+			got, err := RunScreening(id, o)
+			if err != nil {
+				t.Fatalf("RunScreening(%s): %v", id, err)
+			}
+			if got != full {
+				t.Errorf("%s at %d instructions: RunScreening differs from full passes\ngot:\n%s\nfull:\n%s", id, max, got, full)
+			}
+			set := screeningClasses(id)
+			if set == 0 {
+				if id != "fastsweep" {
+					t.Errorf("%s analyzes every class", id)
+				}
+				set = all
+			}
+			if i > 0 {
+				continue
+			}
+			for c := stackdist.ClassL1I; c <= stackdist.ClassL2D; c++ {
+				less := set &^ stackdist.ClassesOf(c)
+				if !set.Has(c) || less == 0 {
+					continue
+				}
+				if out, _ := screeningTables(id, o, less); out == full {
+					t.Errorf("%s: tables unchanged without class %v, which its set selects", id, c)
+				}
+			}
+		}
 	}
 }
 

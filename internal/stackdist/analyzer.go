@@ -23,12 +23,15 @@ type FilterStats struct {
 	L2IReads, L2DReads, L2DWrites uint64
 }
 
-// Analyzer is the one-pass engine. It implements sched.Target and
-// sched.BatchTarget, so it plugs into the same round-robin
-// multiplexing as the cycle-accurate core.System; Step never fails
-// (the analyzer has no invariant checker and no fault paths), so a
-// pass over a well-formed recording always completes.
+// Analyzer is the one-pass engine. It implements sched.Target,
+// sched.BatchTarget and sched.ScanTarget, so it plugs into the same
+// round-robin multiplexing as the cycle-accurate core.System, and the
+// scheduler steps it straight off packed-trace cursors; Step never
+// fails (the analyzer has no invariant checker and no fault paths), so
+// a pass over a well-formed recording always completes.
 type Analyzer struct {
+	// classes holds the selected classes' analyzers (Config.Classes);
+	// an unselected class's entry is nil, and feeding it does nothing.
 	classes [numClasses]*classAnalyzer
 	filter  *core.Filter
 
@@ -43,9 +46,10 @@ type Analyzer struct {
 	pid          int // the PID of the instruction being analyzed
 
 	// Fetch line run: fetchShift turns a fetch address into its line
-	// number at the finer of the filter L1-I and grid L1-I line sizes,
-	// and lastFetch is the previous fetch's PID<<32 | virtual line
-	// (noLine before the first fetch).
+	// number at the finer of the filter L1-I and grid L1-I line sizes
+	// (the filter's alone when ClassL1I is unselected), and lastFetch is
+	// the previous fetch's PID<<32 | virtual line (noLine before the
+	// first fetch).
 	fetchShift uint
 	lastFetch  uint64
 
@@ -59,18 +63,20 @@ func New(cfg Config) (*Analyzer, error) {
 		return nil, err
 	}
 	a := &Analyzer{lastFetch: noLine}
-	a.classes[ClassL1I] = newClassAnalyzer(ClassL1I, cfg.L1I)
-	a.classes[ClassL1D] = newClassAnalyzer(ClassL1D, cfg.L1D)
-	a.classes[ClassL2U] = newClassAnalyzer(ClassL2U, cfg.L2)
-	a.classes[ClassL2I] = newClassAnalyzer(ClassL2I, cfg.L2)
-	a.classes[ClassL2D] = newClassAnalyzer(ClassL2D, cfg.L2)
+	for c, spec := range [numClasses]GridSpec{cfg.L1I, cfg.L1D, cfg.L2, cfg.L2, cfg.L2} {
+		if cfg.Classes.Has(Class(c)) {
+			a.classes[c] = newClassAnalyzer(Class(c), spec)
+		}
+	}
 	f, err := core.NewFilter(cfg.FilterL1I, cfg.FilterL1D, cfg.FilterPolicy, cfg.MMU, l2Side{a})
 	if err != nil {
 		return nil, fmt.Errorf("stackdist: %w", err)
 	}
 	a.filter = f
-	filterShift := log2(uint64(cfg.FilterL1I.LineWords * trace.WordBytes))
-	a.fetchShift = min(filterShift, a.classes[ClassL1I].offBits)
+	a.fetchShift = log2(uint64(cfg.FilterL1I.LineWords * trace.WordBytes))
+	if l1i := a.classes[ClassL1I]; l1i != nil {
+		a.fetchShift = min(a.fetchShift, l1i.offBits)
+	}
 	return a, nil
 }
 
@@ -80,7 +86,7 @@ func (a *Analyzer) Now() uint64 { return a.now }
 // Step analyzes one instruction (sched.Target). The error is always
 // nil; the signature satisfies the scheduler's contract.
 func (a *Analyzer) Step(pid mmu.PID, ev *trace.Event) error {
-	a.step(pid, ev)
+	a.step(pid, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
 	return nil
 }
 
@@ -94,7 +100,7 @@ func (a *Analyzer) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 	stop := a.now + uint64(len(evs))
 	for i := range evs {
 		ev := &evs[i]
-		a.step(pid, ev)
+		a.step(pid, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
 		if ev.Syscall || a.now >= stop {
 			return i + 1, nil
 		}
@@ -102,22 +108,71 @@ func (a *Analyzer) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 	return len(evs), nil
 }
 
-// step analyzes one instruction: the fetch, then the data reference.
-// The filter runs each access and reports its physical address and
-// miss kind; its L2 references arrive through l2Side meanwhile.
-func (a *Analyzer) step(pid mmu.PID, ev *trace.Event) {
+// StepScan is StepBatch straight off a packed cursor's words
+// (sched.ScanTarget): it steps the events in place through
+// trace.DecodeAt, without building Events. The contract is StepBatch's
+// over the next max events of c: the scan consumes events until it has
+// analyzed a syscall event (reported true), the clock has advanced at
+// least max cycles since entry, or the cursor runs out; n == 0 with
+// max > 0 means c is exhausted. Events the cursor has already decoded
+// (Pending) run first, through the same per-instruction body. The
+// error is always nil.
+func (a *Analyzer) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error) {
+	if max <= 0 {
+		return 0, false, nil
+	}
+	stop := a.now + uint64(max)
+	pending := c.Pending()
+	for n < len(pending) {
+		ev := &pending[n]
+		a.step(pid, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
+		n++
+		if ev.Syscall || a.now >= stop {
+			c.Skip(n)
+			return n, ev.Syscall, nil
+		}
+	}
+	c.Skip(n)
+	words, w := c.RawWords()
+	raw := 0
+	for w < len(words) {
+		pc, meta, data, next := trace.DecodeAt(words, w)
+		w = next
+		raw++
+		a.step(pid, pc, data, trace.Kind(meta>>trace.MetaKindShift),
+			uint8(meta>>trace.MetaSizeShift), uint8(meta>>trace.MetaStallShift))
+		if meta&trace.MetaSyscallBit != 0 {
+			syscall = true
+			break
+		}
+		if a.now >= stop {
+			break
+		}
+	}
+	c.RawAdvance(w, raw)
+	return n + raw, syscall, nil
+}
+
+// step analyzes one instruction from its decoded fields: the fetch,
+// then the data reference. It is the one per-instruction body of Step,
+// StepBatch and StepScan. The filter runs each access and reports its
+// physical address and miss kind; its L2 references arrive through
+// l2Side meanwhile.
+func (a *Analyzer) step(pid mmu.PID, pc, data uint32, kind trace.Kind, size, stall uint8) {
 	a.instructions++
-	a.now += 1 + uint64(ev.Stall)
+	a.now += 1 + uint64(stall)
 	p := int(pid)
 	a.pid = p
 	if p > a.maxPID {
 		a.maxPID = p
 	}
-	a.fetch(pid, p, ev.PC)
-	switch ev.Kind {
+	a.fetch(pid, p, pc)
+	switch kind {
 	case trace.Load:
-		paddr, miss := a.filter.Load(pid, ev.Data)
-		a.classes[ClassL1D].access(paddr, false, p)
+		paddr, miss := a.filter.Load(pid, data)
+		if l1d := a.classes[ClassL1D]; l1d != nil {
+			l1d.access(paddr, false, p)
+		}
 		a.counts.L1DReads++
 		switch miss {
 		case core.NoMiss:
@@ -131,8 +186,10 @@ func (a *Analyzer) step(pid mmu.PID, ev *trace.Event) {
 			a.counts.SubblockWordMisses++
 		}
 	case trace.Store:
-		paddr, miss := a.filter.Store(pid, ev.Data, ev.Size)
-		a.classes[ClassL1D].access(paddr, true, p)
+		paddr, miss := a.filter.Store(pid, data, size)
+		if l1d := a.classes[ClassL1D]; l1d != nil {
+			l1d.access(paddr, true, p)
+		}
 		a.counts.L1DWrites++
 		if miss != core.NoMiss {
 			a.counts.L1DWriteMisses++
@@ -156,12 +213,16 @@ func (a *Analyzer) fetch(pid mmu.PID, p int, vaddr uint32) {
 	a.counts.L1IAccesses++
 	key := uint64(pid)<<32 | uint64(vaddr>>a.fetchShift)
 	if key == a.lastFetch {
-		a.classes[ClassL1I].grids[0].count(0, false, p)
+		if l1i := a.classes[ClassL1I]; l1i != nil {
+			l1i.grids[0].count(0, false, p)
+		}
 		return
 	}
 	a.lastFetch = key
 	paddr, miss := a.filter.Fetch(pid, vaddr)
-	a.classes[ClassL1I].access(paddr, false, p)
+	if l1i := a.classes[ClassL1I]; l1i != nil {
+		l1i.access(paddr, false, p)
+	}
 	if miss != core.NoMiss {
 		a.counts.L1IMisses++
 	}
@@ -169,26 +230,34 @@ func (a *Analyzer) fetch(pid mmu.PID, p int, vaddr uint32) {
 
 // l2Side is the filter's L2 side (core.L2Observer): it feeds each
 // secondary-cache reference, under the current PID, to the unified
-// class and to the split class for its side, and counts it.
+// class and to the split class for its side (those selected), and
+// counts it.
 type l2Side struct{ a *Analyzer }
 
 func (o l2Side) L2Read(addr uint64, instrSide bool) {
-	a := o.a
-	a.classes[ClassL2U].access(addr, false, a.pid)
 	if instrSide {
-		a.classes[ClassL2I].access(addr, false, a.pid)
-		a.counts.L2IReads++
+		o.a.counts.L2IReads++
+		o.a.l2Access(addr, false, ClassL2I)
 		return
 	}
-	a.classes[ClassL2D].access(addr, false, a.pid)
-	a.counts.L2DReads++
+	o.a.counts.L2DReads++
+	o.a.l2Access(addr, false, ClassL2D)
 }
 
 func (o l2Side) L2Write(addr uint64) {
-	a := o.a
-	a.classes[ClassL2U].access(addr, true, a.pid)
-	a.classes[ClassL2D].access(addr, true, a.pid)
-	a.counts.L2DWrites++
+	o.a.counts.L2DWrites++
+	o.a.l2Access(addr, true, ClassL2D)
+}
+
+// l2Access feeds one secondary-cache reference to the unified class
+// and to side's split class, each if selected.
+func (a *Analyzer) l2Access(addr uint64, write bool, side Class) {
+	if l2u := a.classes[ClassL2U]; l2u != nil {
+		l2u.access(addr, write, a.pid)
+	}
+	if c := a.classes[side]; c != nil {
+		c.access(addr, write, a.pid)
+	}
 }
 
 // Analyze runs one pass over the processes under the round-robin

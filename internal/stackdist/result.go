@@ -133,7 +133,9 @@ func (a *Analyzer) Result() *Result {
 		Filter:        a.counts,
 	}
 	for i, c := range a.classes {
-		res.Classes[i] = c.snapshot(a.maxPID)
+		if c != nil {
+			res.Classes[i] = c.snapshot(a.maxPID)
+		}
 	}
 	return res
 }

@@ -14,15 +14,17 @@
 // point of the grid at once — O(configs × trace) sweeps collapse to
 // O(trace).
 //
-// The analyzer implements sched.Target and sched.BatchTarget, so the
-// round-robin scheduler multiplexes the packed per-process recordings
-// onto it exactly as it does onto the cycle-accurate core.System: same
-// PID assignment, same syscall context switches, same MMU page
-// coloring, and therefore the same physical reference stream. Its
-// clock is nominal (one cycle per instruction plus the trace's own CPU
-// stalls), which reproduces the simulator's interleaving exactly when
-// context switches are syscall-driven, and approximately under
-// time-slice expiry (see EXPERIMENTS.md for the exactness domain).
+// The analyzer implements sched.Target, sched.BatchTarget and
+// sched.ScanTarget, so the round-robin scheduler multiplexes the packed
+// per-process recordings onto it exactly as it does onto the
+// cycle-accurate core.System, stepping it straight off the packed words
+// (StepScan) without decoding events into a buffer: same PID
+// assignment, same syscall context switches, same MMU page coloring,
+// and therefore the same physical reference stream. Its clock is
+// nominal (one cycle per instruction plus the trace's own CPU stalls),
+// which reproduces the simulator's interleaving exactly when context
+// switches are syscall-driven, and approximately under time-slice
+// expiry (see EXPERIMENTS.md for the exactness domain).
 //
 // Reference classes: the L1-I and L1-D streams are analyzed directly;
 // one fixed L1 configuration — the "filter" — generates the
@@ -33,7 +35,8 @@
 // warming runs, with this package's L2 classes as its L2 side; this
 // package holds no write-policy logic. Reads and writes are binned
 // separately for write-policy screening, and every histogram is also
-// recorded per process.
+// recorded per process. Config.Classes restricts a pass to the classes
+// its caller reads; the others are neither built nor fed.
 package stackdist
 
 import (
@@ -65,6 +68,25 @@ const (
 
 	numClasses
 )
+
+// ClassSet selects the reference classes a pass analyzes: bit c
+// selects Class c. The zero value selects all of them.
+type ClassSet uint8
+
+// allClasses has every class's bit set.
+const allClasses ClassSet = 1<<numClasses - 1
+
+// ClassesOf returns the set of the given classes.
+func ClassesOf(cs ...Class) ClassSet {
+	var s ClassSet
+	for _, c := range cs {
+		s |= 1 << c
+	}
+	return s
+}
+
+// Has reports whether the set selects c.
+func (s ClassSet) Has(c Class) bool { return s == 0 || s&(1<<c) != 0 }
 
 // String names the class like the paper's figures.
 func (c Class) String() string {
@@ -148,6 +170,13 @@ type Config struct {
 	// MMU configures address translation; the zero value is the base
 	// architecture's 64-color staggered MMU, matching core.Base().
 	MMU mmu.Config
+
+	// Classes selects the classes the pass builds stacks for and feeds
+	// (zero value: all five). The filter runs in full whatever the set,
+	// so Instructions, NominalCycles and Filter do not depend on it; an
+	// unselected class's ClassResult is the zero value. Every grid is
+	// validated, selected or not.
+	Classes ClassSet
 }
 
 // withDefaults fills the zero-value filter geometries from the base
@@ -191,6 +220,9 @@ func (cfg Config) Validate() error {
 	}
 	if err := cfg.MMU.Validate(); err != nil {
 		return fmt.Errorf("stackdist: MMU: %w", err)
+	}
+	if cfg.Classes&^allClasses != 0 {
+		return fmt.Errorf("stackdist: class set %#x selects an unknown class", uint8(cfg.Classes))
 	}
 	return nil
 }

@@ -1,10 +1,13 @@
 package stackdist_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/mmu"
 	"repro/internal/sched"
 	"repro/internal/stackdist"
 	"repro/internal/trace"
@@ -166,28 +169,108 @@ type serialStream struct{ s trace.Stream }
 func (s serialStream) Next(ev *trace.Event) bool { return s.s.Next(ev) }
 func (s serialStream) Err() error                { return trace.StreamErr(s.s) }
 
-// TestBatchedMatchesSerial runs the same workload through the batched
-// and the serial scheduler paths and demands identical results — the
-// StepBatch early-exit contract makes batch boundaries invisible.
-func TestBatchedMatchesSerial(t *testing.T) {
-	rec := workload.RecordPaperLike(3, 3000)
+// countingTarget is an analyzer that counts the scheduler's StepScan
+// and StepBatch calls, so a test can tell which path a pass took.
+type countingTarget struct {
+	*stackdist.Analyzer
+	scans, batches int
+}
 
-	batched, _, err := stackdist.Analyze(paperConfig(), workload.ReplayProcesses(rec), sched.Config{Level: 3})
-	if err != nil {
-		t.Fatalf("batched: %v", err)
-	}
+func (c *countingTarget) StepScan(pid mmu.PID, cur *trace.Cursor, max int) (int, bool, error) {
+	c.scans++
+	return c.Analyzer.StepScan(pid, cur, max)
+}
 
-	procs := workload.ReplayProcesses(rec)
-	for i := range procs {
-		procs[i].Stream = serialStream{procs[i].Stream}
-	}
-	serial, _, err := stackdist.Analyze(paperConfig(), procs, sched.Config{Level: 3})
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
+func (c *countingTarget) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
+	c.batches++
+	return c.Analyzer.StepBatch(pid, evs)
+}
 
-	if !reflect.DeepEqual(batched, serial) {
-		t.Error("batched and serial passes disagree")
+// batchOnly hides a cursor behind trace.BatchStream alone, so the
+// scheduler takes the Batch plus StepBatch path instead of StepScan.
+type batchOnly struct{ c *trace.Cursor }
+
+func (b batchOnly) Next(ev *trace.Event) bool   { return b.c.Next(ev) }
+func (b batchOnly) Batch(max int) []trace.Event { return b.c.Batch(max) }
+func (b batchOnly) Skip(n int)                  { b.c.Skip(n) }
+
+// The scheduler steps an analyzer straight off cursors only because it
+// is a ScanTarget.
+var _ sched.ScanTarget = (*stackdist.Analyzer)(nil)
+
+// TestScanMatchesBatchAndSerial runs one pass per scheduler path:
+// cursors (StepScan), the same cursors behind a BatchStream-only
+// wrapper (Batch plus StepBatch) and behind a plain Stream (Step), plus
+// cursors that hold decoded but unconsumed events when the pass starts,
+// which StepScan must drain first. All four must give the same Result
+// and sched.Result, for ScreeningGrid's write-only filter and a
+// write-back one, at three levels and three time slices.
+func TestScanMatchesBatchAndSerial(t *testing.T) {
+	paths := []struct {
+		name         string
+		wrap         func(i int, c *trace.Cursor) trace.Stream
+		scan, batchd bool
+	}{
+		{"scan", func(_ int, c *trace.Cursor) trace.Stream { return c }, true, false},
+		{"batch", func(_ int, c *trace.Cursor) trace.Stream { return batchOnly{c} }, false, true},
+		{"serial", func(_ int, c *trace.Cursor) trace.Stream { return serialStream{c} }, false, false},
+		{"scan-pending", func(i int, c *trace.Cursor) trace.Stream {
+			if len(c.Batch(1+97*i)) == 0 {
+				t.Fatal("pending setup: empty recording")
+			}
+			return c
+		}, true, false},
+	}
+	grids := []struct {
+		name string
+		cfg  stackdist.Config
+	}{
+		{"screening", experiments.ScreeningGrid()},
+		{"writeback", paperConfig()},
+	}
+	for _, r := range passRecordings() {
+		for _, g := range grids {
+			for _, level := range []int{1, 8, 16} {
+				for _, slice := range []uint64{100_000, 500_000, 1 << 62} {
+					scfg := sched.Config{Level: level, TimeSlice: slice, MaxInstructions: 200_000}
+					var (
+						want      *stackdist.Result
+						wantSched sched.Result
+					)
+					for _, p := range paths {
+						procs := workload.ReplayProcesses(r.rec)
+						for i := range procs {
+							procs[i].Stream = p.wrap(i, procs[i].Stream.(*trace.Cursor))
+						}
+						a, err := stackdist.New(g.cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						target := &countingTarget{Analyzer: a}
+						sres, err := sched.Run(target, procs, scfg)
+						if err != nil {
+							t.Fatalf("%s %s %s %+v: %v", r.name, g.name, p.name, scfg, err)
+						}
+						where := fmt.Sprintf("%s %s %s level %d slice %d", r.name, g.name, p.name, level, slice)
+						if (target.scans > 0) != p.scan || (target.batches > 0) != p.batchd {
+							t.Errorf("%s: %d StepScan and %d StepBatch calls, want scan %v batch %v",
+								where, target.scans, target.batches, p.scan, p.batchd)
+						}
+						res := a.Result()
+						if want == nil {
+							want, wantSched = res, sres
+							continue
+						}
+						if !reflect.DeepEqual(res, want) {
+							t.Errorf("%s: result differs from the scan path", where)
+						}
+						if !reflect.DeepEqual(sres, wantSched) {
+							t.Errorf("%s: schedule %+v, scan path %+v", where, sres, wantSched)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -229,6 +312,12 @@ func TestConfigValidation(t *testing.T) {
 			L1D:          stackdist.GridSpec{LineWords: 4, SizesWords: []int{256}, Ways: []int{1}},
 			L2:           stackdist.GridSpec{LineWords: 32, SizesWords: []int{8192}, Ways: []int{1}},
 			FilterPolicy: core.WritePolicy(99),
+		},
+		{ // class set naming a class past ClassL2D
+			L1I:     stackdist.GridSpec{LineWords: 4, SizesWords: []int{256}, Ways: []int{1}},
+			L1D:     stackdist.GridSpec{LineWords: 4, SizesWords: []int{256}, Ways: []int{1}},
+			L2:      stackdist.GridSpec{LineWords: 32, SizesWords: []int{8192}, Ways: []int{1}},
+			Classes: 1 << 5,
 		},
 	}
 	for i, cfg := range bad {
