@@ -42,7 +42,8 @@ lint:
 # under the race detector, vet and tests of the nested perfbench module
 # (root ./... skips it, so an API change it depends on would otherwise
 # go unnoticed), and short fuzz smokes over the trace-file reader, the
-# packed trace format, and screening against the exact simulator.
+# packed trace format, screening against the exact simulator, and the
+# scheduler against its per-event reference.
 #
 # -timeout 20m: go test's default per-package limit, 10 minutes, is too
 # short under -race, where internal/experiments alone took 559-699 s on
@@ -58,6 +59,7 @@ verify: lint
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzScreeningMatchesExact -fuzztime=10s ./internal/stackdist
+	$(GO) test -run=^$$ -fuzz=FuzzRunMatchesReference -fuzztime=10s ./internal/sim
 
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=5m ./internal/trace
@@ -75,9 +77,11 @@ chaos:
 # sample-validate: the sampled-fidelity accuracy gate — sampled CPI and
 # miss ratios against exact runs of the same recordings at the bounds
 # DESIGN.md §12 documents, byte-identical rerun determinism, and the
-# warm fast-forward state-equivalence suite it all rests on.
+# warm fast-forward state-equivalence suite it all rests on (WarmScan
+# against the exact path, and a warm-mode Runner against skip mode's
+# schedule and the exact run's cache state).
 sample-validate:
-	$(GO) test -run 'TestSampled|TestWarm|TestRunnerWarm|TestSkipScan' \
+	$(GO) test -run 'TestSampled|TestWarm|TestRunnerWarmMatchesSkip|TestRunnerWarmMatchesExactFingerprint|TestSkipScan' \
 		./internal/sample ./internal/core ./internal/sched ./internal/trace ./internal/report ./internal/experiments
 
 # sweep: regenerate every table and figure, fault-tolerantly.

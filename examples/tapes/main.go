@@ -49,12 +49,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("characterization:", trace.Characterize(tape.Clone()))
+	fmt.Println("characterization:", trace.Characterize(tape.NewCursor()))
 
 	// Replay the full tape and a 1-in-4 windowed sample against the
 	// base architecture.
-	full := replay(tape.Clone())
-	sampled := replay(trace.Window(tape.Clone(), 25_000, 100_000))
+	full := replay(tape.NewCursor())
+	sampled := replay(trace.Window(tape.NewCursor(), 25_000, 100_000))
 
 	fmt.Printf("\n%-22s %12s %12s %12s\n", "", "L1-D miss", "L2 miss", "CPI")
 	fmt.Printf("%-22s %12.4f %12.4f %12.3f\n", "full tape", full.L1DMissRatio(), full.L2MissRatio(), full.CPI())

@@ -94,21 +94,21 @@ func stepSerial(sys *core.System, pid mmu.PID, evs []trace.Event, max int) (int,
 	return len(evs), false, nil
 }
 
-// stepBatched runs StepBatch over the next max events of mt. Where
-// fewer than max events remain, StepBatch's own budget (the batch
+// stepBatched runs Batch plus StepBatch over the next max events of c.
+// Where fewer than max events remain, StepBatch's own budget (the batch
 // length) ends the first batch early, so it batches again, as the
-// scheduler's quantum loop does, until the max-cycle budget StepScan
+// scheduler's measure loop does, until the max-cycle budget StepScan
 // keeps is spent.
-func stepBatched(sys *core.System, pid mmu.PID, mt *trace.MemTrace, max int) (int, bool, error) {
+func stepBatched(sys *core.System, pid mmu.PID, c *trace.Cursor, max int) (int, bool, error) {
 	stop := sys.Now() + uint64(max)
 	n := 0
 	for sys.Now() < stop {
-		evs := mt.Batch(int(stop - sys.Now()))
+		evs := c.Batch(int(stop - sys.Now()))
 		if len(evs) == 0 {
 			break
 		}
 		k, err := sys.StepBatch(pid, evs)
-		mt.Skip(k)
+		c.Skip(k)
 		n += k
 		if err != nil || evs[k-1].Syscall {
 			return n, err == nil && evs[k-1].Syscall, err
@@ -119,24 +119,24 @@ func stepBatched(sys *core.System, pid mmu.PID, mt *trace.MemTrace, max int) (in
 
 // TestStepScanMatchesStepBatch drives the recorded members, one address
 // space each, round-robin through three systems in lockstep: StepScan
-// over packed cursors, Batch plus StepBatch over in-memory traces, and
-// per-event Step. Every call gets a random cycle budget of 1 to 5000,
-// and before some calls the scan's cursor is left holding random
-// decoded read-ahead (Pending) that StepScan must consume first. Each
-// call must consume the same events and agree on the syscall stop, and
-// at the end the three systems must agree on Stats, clock, cache state
-// and both TLBs' counts, with self-checks on throughout.
+// over packed cursors, Batch plus StepBatch over a second set of
+// cursors, and per-event Step. Every call gets a random cycle budget of
+// 1 to 5000, and before some calls the scan's cursor is handed a random
+// Batch, which must consume nothing. Each call must consume the same
+// events and agree on the syscall stop, and at the end the three
+// systems must agree on Stats, clock, cache state and both TLBs'
+// counts, with self-checks on throughout.
 func TestStepScanMatchesStepBatch(t *testing.T) {
 	members := scanMembers(t)
 	for name, cfg := range scanConfigs() {
 		t.Run(name, func(t *testing.T) {
 			scanSys, batchSys, serialSys := newScanSys(t, cfg), newScanSys(t, cfg), newScanSys(t, cfg)
 			curs := make([]*trace.Cursor, len(members))
-			mts := make([]*trace.MemTrace, len(members))
+			batchCurs := make([]*trace.Cursor, len(members))
 			pos := make([]int, len(members))
 			for i, evs := range members {
-				curs[i] = trace.Pack(trace.NewMemTrace(evs)).NewCursor()
-				mts[i] = trace.NewMemTrace(evs)
+				rec := trace.Pack(trace.NewMemTrace(evs))
+				curs[i], batchCurs[i] = rec.NewCursor(), rec.NewCursor()
 			}
 			rng := rand.New(rand.NewSource(11)) //lint:allow determinism fixed-seed test schedule
 			live := len(members)
@@ -148,13 +148,13 @@ func TestStepScanMatchesStepBatch(t *testing.T) {
 				pid := mmu.PID(m + 1)
 				max := 1 + rng.Intn(5000)
 				if rng.Intn(4) == 0 {
-					curs[m].Batch(1 + rng.Intn(300)) // read-ahead StepScan must drain
+					curs[m].Batch(1 + rng.Intn(300)) // decodes without consuming
 				}
 				n, sys, err := scanSys.StepScan(pid, curs[m], max)
 				if err != nil {
 					t.Fatalf("call %d: StepScan: %v", call, err)
 				}
-				bn, bsys, berr := stepBatched(batchSys, pid, mts[m], max)
+				bn, bsys, berr := stepBatched(batchSys, pid, batchCurs[m], max)
 				if berr != nil {
 					t.Fatalf("call %d: StepBatch: %v", call, berr)
 				}

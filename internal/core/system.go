@@ -216,8 +216,6 @@ func (s *System) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 // true), the clock has advanced at least max cycles since entry, a fault
 // latches (returned, counting the faulting instruction), or the cursor
 // runs out; n == 0 with max > 0 and a nil error means c is exhausted.
-// Events the cursor has already decoded (Pending) run first, through
-// the same per-instruction body.
 func (s *System) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error) {
 	if max <= 0 {
 		return 0, false, s.fault
@@ -229,23 +227,11 @@ func (s *System) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall
 	}
 	stop := s.now + uint64(max)
 	run := noRun
-	pending := c.Pending()
-	for n < len(pending) {
-		ev := &pending[n]
-		run = s.step(pid, run, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
-		n++
-		if s.fault != nil || ev.Syscall || s.now >= stop {
-			c.Skip(n)
-			return n, ev.Syscall && s.fault == nil, s.fault
-		}
-	}
-	c.Skip(n)
 	words, w := c.RawWords()
-	raw := 0
 	for w < len(words) {
 		pc, meta, data, next := trace.DecodeAt(words, w)
 		w = next
-		raw++
+		n++
 		run = s.step(pid, run, pc, data, trace.Kind(meta>>trace.MetaKindShift),
 			uint8(meta>>trace.MetaSizeShift), uint8(meta>>trace.MetaStallShift))
 		if s.fault != nil {
@@ -259,8 +245,8 @@ func (s *System) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall
 			break
 		}
 	}
-	c.RawAdvance(w, raw)
-	return n + raw, syscall, s.fault
+	c.RawAdvance(w, n)
+	return n, syscall, s.fault
 }
 
 // Run consumes an entire single-process stream (convenience for tests,

@@ -18,7 +18,7 @@ import (
 // internal/stackdist's FuzzScreeningMatchesExact hold them to it. Two
 // callers drive the model:
 //
-//   - System's functional warming (WarmBatch, WarmScan), the
+//   - System's functional warming (WarmScan), the
 //     fast-forward mode of sampled simulation, whose L2 side is its
 //     real L2 banks;
 //   - Filter, the one-pass analyzer's L1 (internal/stackdist), whose
@@ -97,37 +97,6 @@ type L2Observer interface {
 	// L2Write is a data-side write at addr: a write-back victim line,
 	// or a write-through store's word.
 	L2Write(addr uint64)
-}
-
-// WarmBatch functionally executes events of process pid and returns how
-// many were consumed. Like StepBatch it stops early, after the event,
-// when an executed event is a syscall, so a scheduler can honor
-// syscall-triggered context switches at the exact instruction a full
-// replay would. A latched model fault refuses further work exactly as
-// Step does.
-func (s *System) WarmBatch(pid mmu.PID, evs []trace.Event) (int, error) {
-	if s.fault != nil {
-		if len(evs) == 0 {
-			return 0, s.fault
-		}
-		return 1, s.fault
-	}
-	for i := range evs {
-		ev := &evs[i]
-		s.warmFetch(pid, ev.PC)
-		switch ev.Kind {
-		case trace.Load:
-			s.warmLoad(pid, ev.Data)
-		case trace.Store:
-			s.warmStore(pid, ev.Data, ev.Size)
-		case trace.None:
-			// No data reference; the fetch above was the only access.
-		}
-		if ev.Syscall {
-			return i + 1, nil
-		}
-	}
-	return len(evs), nil
 }
 
 // warmFetch mirrors fetchInstruction: TLB, L1-I probe, refill on miss.
@@ -388,13 +357,17 @@ func (s *System) CacheFingerprint() uint64 {
 	return h
 }
 
-// WarmScan is WarmBatch straight over a packed cursor's word stream:
+// WarmScan functionally executes the next events of process pid
+// straight off a packed cursor's word stream, with no cycle accounting:
 // events are stepped in place through trace.DecodeAt, never
 // materialized, and one L1-I probe serves a run of fetches from one
-// line. It exists because continuous functional warming is what keeps
-// sampled simulation unbiased on workloads whose L2 reuse distances
-// exceed any affordable warmup window, and at that duty cycle the
-// per-event decode and fetch-probe costs dominate.
+// line. Cache and TLB contents move as on the cycle-accurate path
+// (TestWarmMatchesExactFinalState pins the cache state where the
+// write-buffer ordering makes that exact), while the clock and Stats
+// stay untouched. Continuous functional warming is what keeps sampled
+// simulation unbiased on workloads whose L2 reuse distances exceed any
+// affordable warmup window, and at that duty cycle the per-event decode
+// and fetch-probe costs dominate.
 //
 // The line run is the exact engine's (see step), minus the TLB count,
 // which functional warming does not keep: a run starts at a fetch that
@@ -404,37 +377,19 @@ func (s *System) CacheFingerprint() uint64 {
 // are compared on virtual addresses, which is sound within one call
 // (one PID) because a cache line never spans pages.
 //
-// The contract matches WarmBatch: up to max events are consumed, a
-// consumed syscall event stops the scan (reported true), and n == 0
-// with max > 0 means the cursor is exhausted.
+// Up to max events are consumed; a consumed syscall event stops the
+// scan (reported true), so a scheduler can honor syscall-triggered
+// context switches at the exact instruction a full replay would, and
+// n == 0 with max > 0 means the cursor is exhausted. A latched model
+// fault refuses further work exactly as Step does.
 func (s *System) WarmScan(pid mmu.PID, c *trace.Cursor, max int) (int, bool, error) {
 	if s.fault != nil {
 		return 0, false, s.fault
 	}
-	n := 0
-	// Consume the cursor's decoded read-ahead first; RawWords is only
-	// valid once no batched events are pending.
-	if pending := c.Pending(); len(pending) > 0 {
-		if len(pending) > max {
-			pending = pending[:max]
-		}
-		k, err := s.WarmBatch(pid, pending)
-		c.Skip(k)
-		n += k
-		if err != nil {
-			return n, false, err
-		}
-		if k > 0 && pending[k-1].Syscall {
-			return n, true, nil
-		}
-		if n >= max {
-			return n, false, nil
-		}
-	}
 	words, w := c.RawWords()
-	drained := n
 	shift := s.l1i.offBits
 	run := noRun
+	n := 0
 	syscall := false
 	for n < max && w < len(words) {
 		pc, meta, data, next := trace.DecodeAt(words, w)
@@ -459,6 +414,6 @@ func (s *System) WarmScan(pid mmu.PID, c *trace.Cursor, max int) (int, bool, err
 			break
 		}
 	}
-	c.RawAdvance(w, n-drained) // raw-consumed events only
+	c.RawAdvance(w, n)
 	return n, syscall, nil
 }

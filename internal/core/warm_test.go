@@ -47,35 +47,10 @@ func replayExact(t *testing.T, cfg Config, rec *trace.Recorded) uint64 {
 	return s.CacheFingerprint()
 }
 
-// replayWarm feeds the same events through WarmBatch in randomly sized
-// chunks (exercising the syscall early-stop and resume points) and
-// returns the final cache fingerprint.
-func replayWarm(t *testing.T, cfg Config, rec *trace.Recorded) uint64 {
-	t.Helper()
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	cur := rec.NewCursor()
-	rng := rand.New(rand.NewSource(3)) //lint:allow determinism fixed-seed test chunking
-	for {
-		b := cur.Batch(1 + rng.Intn(2000))
-		if len(b) == 0 {
-			break
-		}
-		n, err := s.WarmBatch(1, b)
-		if err != nil {
-			t.Fatalf("WarmBatch: %v", err)
-		}
-		cur.Skip(n)
-	}
-	return s.CacheFingerprint()
-}
-
-// replayWarmScan drives WarmScan — the raw-word path — over
-// a fresh cursor in randomly sized chunks. Random pre-batching leaves
-// decoded read-ahead pending on the cursor, so the scan's pending-drain
-// prologue and its resume-after-syscall points are both exercised.
+// replayWarmScan drives WarmScan over a fresh cursor in randomly sized
+// chunks, exercising its resume-after-syscall points, with Batch calls
+// in between that must consume nothing, and returns the final cache
+// fingerprint.
 func replayWarmScan(t *testing.T, cfg Config, rec *trace.Recorded) uint64 {
 	t.Helper()
 	s, err := NewSystem(cfg)
@@ -86,7 +61,7 @@ func replayWarmScan(t *testing.T, cfg Config, rec *trace.Recorded) uint64 {
 	rng := rand.New(rand.NewSource(7)) //lint:allow determinism fixed-seed test chunking
 	for {
 		if rng.Intn(4) == 0 {
-			cur.Batch(1 + rng.Intn(300)) // read-ahead only; WarmScan must drain it
+			cur.Batch(1 + rng.Intn(300)) // decodes without consuming
 		}
 		n, _, err := s.WarmScan(1, cur, 1+rng.Intn(2000))
 		if err != nil {
@@ -105,11 +80,41 @@ func replayWarmScan(t *testing.T, cfg Config, rec *trace.Recorded) uint64 {
 	return s.CacheFingerprint()
 }
 
-// TestWarmScanMatchesWarmBatch pins the raw-word scanner against the
-// decoded path: for every write policy, WarmScan over the packed words
-// must leave bit-identical cache state to WarmBatch over the decoded
-// events — same refills, evictions, flags, masks, and replacement
-// order — regardless of chunking or pending read-ahead.
+// replayWarmEach warms every event of rec one at a time through the
+// warm helpers, with no line run: the per-event reference WarmScan is
+// held to, as stepSerial is for StepScan. It returns the final cache
+// fingerprint.
+func replayWarmEach(t *testing.T, cfg Config, rec *trace.Recorded) uint64 {
+	t.Helper()
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	cur := rec.NewCursor()
+	var ev trace.Event
+	for cur.Next(&ev) {
+		s.warmFetch(1, ev.PC)
+		switch ev.Kind {
+		case trace.Load:
+			s.warmLoad(1, ev.Data)
+		case trace.Store:
+			s.warmStore(1, ev.Data, ev.Size)
+		case trace.None:
+			// Fetch-only instruction; nothing further to warm.
+		}
+	}
+	return s.CacheFingerprint()
+}
+
+// TestWarmScanMatchesWarmBatch pins the raw-word scanner against
+// warming the same events one at a time (replayWarmEach): for every
+// write policy, WarmScan must leave bit-identical cache state — same
+// refills, evictions, flags, masks, and replacement order — regardless
+// of chunking. Unlike the exact path, the per-event reference also
+// covers configurations whose write-buffer ordering lets warm state
+// differ from exact state (loads passing stores, and the optimized
+// design's concurrent I-refill), so WarmScan's line run is checked
+// there too.
 func TestWarmScanMatchesWarmBatch(t *testing.T) {
 	rec := warmTestTrace(t, 120_000)
 	cases := []struct {
@@ -124,15 +129,18 @@ func TestWarmScanMatchesWarmBatch(t *testing.T) {
 		{"writeback-small-l2", func(c *Config) {
 			c.L2U.Geom.SizeWords = 16 * 1024
 		}},
+		{"writeonly-assoc", func(c *Config) {
+			c.WritePolicy, c.WBEntries, c.WBEntryWords, c.LoadsPassStores = WriteOnly, 8, 1, LPSAssociative
+		}},
+		{"optimized", func(c *Config) { *c = Optimized() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Base()
 			tc.mutate(&cfg)
-			batch := replayWarm(t, cfg, rec)
-			scan := replayWarmScan(t, cfg, rec)
-			if batch != scan {
-				t.Fatalf("cache state diverged: WarmBatch fingerprint %#x, WarmScan %#x", batch, scan)
+			each := replayWarmEach(t, cfg, rec)
+			if scan := replayWarmScan(t, cfg, rec); scan != each {
+				t.Fatalf("cache state diverged: per-event warming %#x, WarmScan %#x", each, scan)
 			}
 		})
 	}
@@ -147,16 +155,13 @@ func TestWarmScanWideRefillEndsLineRun(t *testing.T) {
 	cfg := Base()
 	cfg.L1I = CacheGeom{SizeWords: 32, LineWords: 4, Ways: 2}
 	cfg.L1IFetch = 32
-	evs := []trace.Event{{PC: 0x1000}, {PC: 0x1004}}
-	batch, scan := newSys(t, cfg), newSys(t, cfg)
-	if _, err := batch.WarmBatch(pid, evs); err != nil {
-		t.Fatalf("WarmBatch: %v", err)
-	}
-	if _, _, err := scan.WarmScan(pid, trace.Pack(trace.NewMemTrace(evs)).NewCursor(), len(evs)); err != nil {
+	rec := trace.Pack(trace.NewMemTrace([]trace.Event{{PC: 0x1000}, {PC: 0x1004}}))
+	scan := newSys(t, cfg)
+	if _, _, err := scan.WarmScan(pid, rec.NewCursor(), 2); err != nil {
 		t.Fatalf("WarmScan: %v", err)
 	}
-	if b, s := batch.CacheFingerprint(), scan.CacheFingerprint(); b != s {
-		t.Fatalf("cache state diverged: WarmBatch %#x, WarmScan %#x", b, s)
+	if e, s := replayExact(t, cfg, rec), scan.CacheFingerprint(); e != s {
+		t.Fatalf("cache state diverged: exact %#x, WarmScan %#x", e, s)
 	}
 }
 
@@ -189,13 +194,43 @@ func TestWarmScanSyscallStop(t *testing.T) {
 	}
 }
 
+// TestWarmBatchSyscallStop pins the early-stop contract of warming a
+// batch of events: a WarmScan whose budget covers the whole batch
+// consumes the syscall event and stops there, and functional warming
+// counts no instruction and costs no cycle.
+func TestWarmBatchSyscallStop(t *testing.T) {
+	s, err := NewSystem(Base())
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	evs := []trace.Event{
+		{PC: 0x1000},
+		{PC: 0x1004, Syscall: true},
+		{PC: 0x1008},
+	}
+	n, _, err := s.WarmScan(1, trace.Pack(trace.NewMemTrace(evs)).NewCursor(), len(evs))
+	if err != nil {
+		t.Fatalf("WarmScan: %v", err)
+	}
+	if n != 2 {
+		t.Fatalf("warming consumed %d events, want 2 (stop after syscall)", n)
+	}
+	if got := s.Stats().Instructions; got != 0 {
+		t.Fatalf("warming counted %d instructions; functional warming must not touch Stats", got)
+	}
+	if got := s.Now(); got != 0 {
+		t.Fatalf("warming advanced the clock to %d; functional warming must not cost cycles", got)
+	}
+}
+
 // TestWarmMatchesExactFinalState pins the functional-warming guarantee
 // the sampled engine's fast-forward relies on: for configurations whose
 // wait-for-write-buffer rules fully order L2 probes (every L1 miss
 // waits for the buffer to empty before reading L2 — Base's write-back +
 // LPSNone + IMissWaitsForWB, and the write-through policies under the
-// same ordering), a WarmBatch replay leaves bit-identical cache state
-// to a full cycle-accurate replay followed by a write-buffer drain.
+// same ordering), a WarmScan replay in random chunk sizes leaves
+// bit-identical cache state to a full cycle-accurate replay followed by
+// a write-buffer drain.
 //
 // Configurations that relax the ordering (LPSAssociative/LPSDirtyBit,
 // concurrent I-refill) let the exact engine interleave buffered writes
@@ -222,9 +257,8 @@ func TestWarmMatchesExactFinalState(t *testing.T) {
 			cfg := Base()
 			tc.mutate(&cfg)
 			exact := replayExact(t, cfg, rec)
-			warm := replayWarm(t, cfg, rec)
-			if exact != warm {
-				t.Fatalf("cache state diverged: exact fingerprint %#x, warm %#x", exact, warm)
+			if warm := replayWarmScan(t, cfg, rec); warm != exact {
+				t.Fatalf("cache state diverged: exact fingerprint %#x, WarmScan %#x", exact, warm)
 			}
 		})
 	}
@@ -250,40 +284,10 @@ func TestWarmMatchesExactFinalStateByteStores(t *testing.T) {
 			cfg := Base()
 			cfg.WritePolicy = policy
 			exact := replayExact(t, cfg, rec)
-			if warm := replayWarm(t, cfg, rec); warm != exact {
-				t.Fatalf("cache state diverged: exact fingerprint %#x, WarmBatch %#x", exact, warm)
-			}
 			if scan := replayWarmScan(t, cfg, rec); scan != exact {
 				t.Fatalf("cache state diverged: exact fingerprint %#x, WarmScan %#x", exact, scan)
 			}
 		})
-	}
-}
-
-// TestWarmBatchSyscallStop pins WarmBatch's early-stop contract: the
-// syscall event is consumed, the one after it is not.
-func TestWarmBatchSyscallStop(t *testing.T) {
-	s, err := NewSystem(Base())
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	evs := []trace.Event{
-		{PC: 0x1000},
-		{PC: 0x1004, Syscall: true},
-		{PC: 0x1008},
-	}
-	n, err := s.WarmBatch(1, evs)
-	if err != nil {
-		t.Fatalf("WarmBatch: %v", err)
-	}
-	if n != 2 {
-		t.Fatalf("WarmBatch consumed %d events, want 2 (stop after syscall)", n)
-	}
-	if got := s.Stats().Instructions; got != 0 {
-		t.Fatalf("WarmBatch counted %d instructions; functional warming must not touch Stats", got)
-	}
-	if got := s.Now(); got != 0 {
-		t.Fatalf("WarmBatch advanced the clock to %d; functional warming must not cost cycles", got)
 	}
 }
 

@@ -97,11 +97,12 @@ func run(cfg core.Config, o Options) sim.Result {
 }
 
 // runPaperLike simulates the paper-calibrated synthetic workload
-// (workload.PaperLike) on cfg under o.
+// (workload.PaperLike) on cfg under o, replaying the recording that
+// screening replays for the same level and scale.
 func runPaperLike(cfg core.Config, o Options) sim.Result {
-	perProc := uint64(400_000) * uint64(o.Scale)
+	rec := workload.RecordPaperLike(o.Level, uint64(400_000)*uint64(o.Scale))
 	cfg.SelfCheck = o.SelfCheck
-	return must(sim.Run(cfg, workload.PaperLike(o.Level, perProc), sched.Config{
+	return must(sim.Run(cfg, workload.ReplayProcesses(rec), sched.Config{
 		Level:           o.Level,
 		TimeSlice:       o.TimeSlice,
 		MaxInstructions: o.MaxInstructions,

@@ -21,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func goldenRun(t *testing.T) Report {
 	t.Helper()
 	cfg := core.Base()
-	res, err := sim.Run(cfg, workload.PaperLike(2, 30_000), sched.Config{Level: 2})
+	res, err := sim.Run(cfg, workload.ReplayProcesses(workload.RecordPaperLike(2, 30_000)), sched.Config{Level: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@
 //
 // The skip phase traverses the packed trace without simulating
 // (trace.Cursor.SkipScan, roughly one word load per instruction). The
-// functional-warming window (core.System.WarmBatch) replays the last
+// functional-warming window (core.System.WarmScan) replays the last
 // FunctionalWindow pre-interval instructions through the caches and TLB
 // with no cycle accounting, repairing the cache state the skip ignored.
 // The detailed warmup runs the last Warmup instructions through the
@@ -188,10 +188,10 @@ type Result struct {
 	L2MissRatio  Stat
 }
 
-// Run samples one workload on one configuration. procs streams must
-// implement trace.BatchStream (packed recordings do). The returned
-// Result is deterministic for identical inputs. On a simulator fault or
-// stream error the partial result is returned with the error, matching
+// Run samples one workload on one configuration. procs streams must be
+// packed-trace cursors (workload.ReplayProcesses gives them). The
+// returned Result is deterministic for identical inputs. On a simulator
+// fault the partial result is returned with the error, matching
 // sim.Run's contract.
 func Run(cfg core.Config, procs []sched.Process, scfg sched.Config, smp Config) (Result, error) {
 	smp = smp.withDefaults()

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"maps"
+	"math"
 
 	"repro/internal/mmu"
 	"repro/internal/trace"
@@ -12,18 +13,16 @@ import (
 type Mode uint8
 
 const (
-	// ModeMeasure drives the target cycle-accurately — identical
-	// semantics to Run's batched quantum path: StepScan straight off
-	// the words when the target is a ScanTarget and the stream a
-	// *trace.Cursor, Batch plus StepBatch otherwise.
+	// ModeMeasure drives the target cycle-accurately through StepScan.
 	ModeMeasure Mode = iota
-	// ModeWarm advances architectural state functionally via WarmBatch:
-	// caches and TLB stay warm, but no cycles are charged; the virtual
-	// clock advances at the configured nominal CPI instead.
+	// ModeWarm advances architectural state functionally through the
+	// target's WarmScan: caches and TLB stay warm, but no cycles are
+	// charged; the virtual clock advances at the configured nominal CPI
+	// instead.
 	ModeWarm
 	// ModeSkip fast-forwards the trace without touching the target at
-	// all (SkipScan when the stream supports it), advancing the virtual
-	// clock at the nominal CPI. Syscall boundaries are still honored.
+	// all (trace.Cursor.SkipScan), advancing the virtual clock at the
+	// nominal CPI. Syscall boundaries are still honored.
 	ModeSkip
 )
 
@@ -40,26 +39,14 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
 
-// WarmTarget is a BatchTarget that can additionally advance its
-// architectural state functionally, with no cycle accounting. WarmBatch
-// must consume events exactly like StepBatch would (including the
-// stop-after-syscall early exit) while leaving the clock and statistics
-// untouched. *core.System satisfies it.
+// WarmTarget is a Target that can also warm straight off a packed-trace
+// cursor: WarmScan advances the target's architectural state with no
+// cycle accounting, consuming at most max events and stopping after a
+// syscall event exactly as StepScan does. Continuous functional warming
+// in sampled simulation is only affordable through it. *core.System
+// satisfies it.
 type WarmTarget interface {
-	BatchTarget
-	WarmBatch(pid mmu.PID, evs []trace.Event) (n int, err error)
-}
-
-// ScanWarmTarget is a WarmTarget that can also warm straight off a
-// packed-trace cursor: WarmScan must be state-equivalent to draining
-// the same events through WarmBatch, with the same consume-and-stop
-// syscall contract. It is ScanTarget's functional-warming counterpart:
-// the runner uses it automatically for warm-mode work on processes
-// whose stream is a *trace.Cursor, and continuous functional warming in
-// sampled simulation is only affordable through this path.
-// *core.System satisfies it.
-type ScanWarmTarget interface {
-	WarmTarget
+	Target
 	WarmScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error)
 }
 
@@ -69,13 +56,14 @@ type ScanWarmTarget interface {
 // accumulation would make switch points depend on summation order).
 const nomCPIScale = 256
 
-// Runner is a resumable round-robin scheduler: the same multiprogramming
-// model as Run (level, time slices, syscall switches, process
-// replacement), but advanced in caller-controlled instruction budgets
-// at a caller-controlled fidelity per call. Sampled simulation uses it
-// to alternate skip → warm → measure phases over one workload while
-// preserving quantum state (a measurement interval can start and end
-// mid-quantum, exactly where a full replay would be).
+// Runner is the round-robin scheduler: level, time slices, syscall
+// switches, process replacement and MaxInstructions are all decided
+// here, and Run is a Runner driven to the end in measure mode. The
+// Runner is resumable: it advances in caller-controlled instruction
+// budgets at a caller-controlled fidelity per call. Sampled simulation
+// uses that to alternate skip → warm → measure phases over one workload
+// while preserving quantum state (a measurement interval can start and
+// end mid-quantum, exactly where a full replay would be).
 //
 // Time-slice accounting runs on a virtual clock: the target's real
 // cycle count plus a nominal charge for every skipped or warmed
@@ -83,13 +71,12 @@ const nomCPIScale = 256
 // fast-forward therefore tracks the measured CPI instead of freezing
 // (which would let a slice never expire) or ticking at the wrong rate.
 type Runner struct {
-	target   BatchTarget
-	scan     ScanTarget     // nil if the target cannot step off cursors
-	warm     WarmTarget     // nil if the target cannot warm
-	scanWarm ScanWarmTarget // nil if the target cannot warm off cursors
-	cfg      Config
-	level    int
-	slice    uint64
+	target Target
+	batch  BatchTarget // nil if the target cannot step decoded events
+	warm   WarmTarget  // nil if the target cannot warm
+	cfg    Config
+	level  int
+	slice  uint64
 
 	res     Result
 	active  []*process
@@ -106,15 +93,29 @@ type Runner struct {
 	err       error
 }
 
+// process is one live process. Its stream is a cursor, or, for
+// measure-mode runs only, a BatchStream that is not one.
+type process struct {
+	name string
+	pid  mmu.PID
+	c    *trace.Cursor
+	bs   trace.BatchStream // set when c is nil
+}
+
 // NewRunner builds a resumable scheduler over procs. Every process
-// stream must implement trace.BatchStream (packed-trace Cursors and
-// MemTraces do); a Runner's whole point is bulk fast-forward, and the
-// batch contract is what makes its stop points deterministic.
-func NewRunner(target BatchTarget, procs []Process, cfg Config) (*Runner, error) {
+// stream must be a *trace.Cursor; a trace.BatchStream that is not one is
+// accepted when the target is a BatchTarget, and then runs in measure
+// mode only.
+func NewRunner(target Target, procs []Process, cfg Config) (*Runner, error) {
+	batch, _ := target.(BatchTarget)
 	for _, p := range procs {
-		if _, ok := p.Stream.(trace.BatchStream); !ok {
-			return nil, fmt.Errorf("sched: runner process %q: stream %T does not implement trace.BatchStream", p.Name, p.Stream)
+		if _, ok := p.Stream.(*trace.Cursor); ok {
+			continue
 		}
+		if _, ok := p.Stream.(trace.BatchStream); ok && batch != nil {
+			continue
+		}
+		return nil, fmt.Errorf("sched: process %q: stream %T is not a packed-trace cursor; pack it with trace.Pack", p.Name, p.Stream)
 	}
 	level := cfg.Level
 	if level <= 0 {
@@ -126,6 +127,7 @@ func NewRunner(target BatchTarget, procs []Process, cfg Config) (*Runner, error)
 	}
 	r := &Runner{
 		target:    target,
+		batch:     batch,
 		cfg:       cfg,
 		level:     level,
 		slice:     slice,
@@ -134,9 +136,7 @@ func NewRunner(target BatchTarget, procs []Process, cfg Config) (*Runner, error)
 		nextPID:   1,
 		nomCharge: nomCPIScale, // nominal CPI 1.0 until the caller measures
 	}
-	r.scan, _ = target.(ScanTarget)
 	r.warm, _ = target.(WarmTarget)
-	r.scanWarm, _ = target.(ScanWarmTarget)
 	for len(r.active) < r.level && len(r.pending) > 0 {
 		r.start()
 	}
@@ -147,14 +147,20 @@ func NewRunner(target BatchTarget, procs []Process, cfg Config) (*Runner, error)
 	return r, nil
 }
 
-// start admits the next pending process, mirroring Run.
+// start admits the next pending process.
 func (r *Runner) start() {
 	if len(r.pending) == 0 {
 		return
 	}
 	p := r.pending[0]
 	r.pending = r.pending[1:]
-	r.active = append(r.active, &process{name: p.Name, pid: r.nextPID, src: p.Stream})
+	proc := &process{name: p.Name, pid: r.nextPID}
+	if c, ok := p.Stream.(*trace.Cursor); ok {
+		proc.c = c
+	} else {
+		proc.bs, _ = p.Stream.(trace.BatchStream) // NewRunner checked it
+	}
+	r.active = append(r.active, proc)
 	r.nextPID++
 	if r.nextPID == 0 {
 		r.nextPID = 1
@@ -180,7 +186,7 @@ func (r *Runner) vnow() uint64 { return r.target.Now() + r.nominal/nomCPIScale }
 // MaxInstructions or a fault); further RunFor calls do nothing.
 func (r *Runner) Done() bool { return r.done }
 
-// Err returns the latched fault or stream error, if any.
+// Err returns the latched fault, if any.
 func (r *Runner) Err() error { return r.err }
 
 // Result snapshots the scheduling statistics so far. Instructions and
@@ -217,7 +223,12 @@ func (r *Runner) RunFor(budget uint64, mode Mode) (uint64, error) {
 		}
 		p := r.active[r.cur]
 		if !r.inSlice {
+			// Saturate: a deadline past the end of the clock never
+			// expires, where a wrapped one would expire at once.
 			r.sliceEnd = r.vnow() + r.slice
+			if r.sliceEnd < r.slice {
+				r.sliceEnd = math.MaxUint64
+			}
 			r.inSlice = true
 		}
 		out, n, err := r.runChunk(p, mode, budget-ran)
@@ -244,7 +255,7 @@ func (r *Runner) RunFor(budget uint64, mode Mode) (uint64, error) {
 	return ran, nil
 }
 
-// chunkOutcome says how one batched step of a quantum ended.
+// chunkOutcome says how one step of a quantum ended.
 type chunkOutcome uint8
 
 const (
@@ -255,10 +266,20 @@ const (
 	chunkFailed
 )
 
-// runChunk performs one bounded batch of p in the given mode: at most
-// budget instructions, at most the current quantum's remaining virtual
-// cycles, at most quantumBatchMax events. It updates instruction and
-// switch accounting exactly like Run's quantum loops.
+// maxChunk clamps a chunk's cycle budget before it is converted to
+// events or handed to a scan as an int, so nothing overflows however
+// long the slice. Cutting a chunk short moves no switch: a scan stops
+// at syscalls and at the cursor's end on its own, and the slice check
+// runs after every chunk.
+const maxChunk = math.MaxInt32
+
+// quantumBatchMax bounds the events one Batch decodes for a stream that
+// is not a cursor, keeping the decode buffer cache-sized.
+const quantumBatchMax = 4096
+
+// runChunk performs one bounded step of p in the given mode: at most
+// budget instructions and at most the current quantum's remaining
+// virtual cycles. It updates instruction and switch accounting.
 func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, uint64, error) {
 	now := r.vnow()
 	if now >= r.sliceEnd {
@@ -270,7 +291,7 @@ func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, u
 	// event count that cannot overshoot the deadline by more than one
 	// instruction: measured instructions cost at least one cycle each;
 	// skipped/warmed instructions cost nomCharge/256 >= 1.
-	k := r.sliceEnd - now
+	k := min(r.sliceEnd-now, maxChunk)
 	if mode != ModeMeasure {
 		k = (k*nomCPIScale + r.nomCharge - 1) / r.nomCharge
 	}
@@ -279,79 +300,27 @@ func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, u
 		if rem == 0 {
 			return chunkMaxed, 0, nil
 		}
-		if rem < k {
-			k = rem
-		}
+		k = min(k, rem)
 	}
-	if budget < k {
-		k = budget
-	}
-	// The batch cap bounds the decode-ahead buffer, so it applies only
-	// when events are materialized. SkipScan, WarmScan and StepScan
-	// walk the packed words in place; capping them would both re-pay
-	// the skip-index residue walk every quantumBatchMax events and add
-	// call overhead, without changing where switches land
-	// (fast-forwarded instructions all pay the same uniform
-	// virtual-time charge, measured ones stop at the cycle budget, and
-	// all three scans stop at syscalls on their own).
-	cur, isCursor := p.src.(*trace.Cursor)
-	scan := false
-	switch mode {
-	case ModeSkip:
-		_, scan = p.src.(trace.SkipScanner)
-	case ModeWarm:
-		scan = isCursor && r.scanWarm != nil
-	case ModeMeasure:
-		scan = isCursor && r.scan != nil
-	}
-	if k > quantumBatchMax && !scan {
-		k = quantumBatchMax
-	}
+	k = min(k, budget)
 
-	bs := p.src.(trace.BatchStream)
 	var (
 		n       int
 		syscall bool
 		err     error
 	)
 	switch {
+	case p.c == nil:
+		n, syscall, err = r.stepBatch(p, mode, int(k))
 	case mode == ModeSkip:
-		if ss, ok := p.src.(trace.SkipScanner); ok {
-			n, syscall = ss.SkipScan(int(k))
-		} else {
-			evs := bs.Batch(int(k))
-			for n < len(evs) && !syscall {
-				syscall = evs[n].Syscall
-				n++
-			}
-			bs.Skip(n)
-		}
-		if n == 0 {
-			return r.terminated(p)
-		}
-	case scan:
-		if mode == ModeWarm {
-			n, syscall, err = r.scanWarm.WarmScan(p.pid, cur, int(k))
-		} else {
-			n, syscall, err = r.scan.StepScan(p.pid, cur, int(k))
-		}
-		if n == 0 && err == nil {
-			return r.terminated(p)
-		}
+		n, syscall = p.c.SkipScan(int(k))
+	case mode == ModeWarm:
+		n, syscall, err = r.warm.WarmScan(p.pid, p.c, int(k))
 	default:
-		evs := bs.Batch(int(k))
-		if len(evs) == 0 {
-			return r.terminated(p)
-		}
-		if mode == ModeMeasure {
-			n, err = r.target.StepBatch(p.pid, evs)
-		} else {
-			n, err = r.warm.WarmBatch(p.pid, evs)
-		}
-		bs.Skip(n)
-		if n > 0 {
-			syscall = evs[n-1].Syscall
-		}
+		n, syscall, err = r.target.StepScan(p.pid, p.c, int(k))
+	}
+	if n == 0 && err == nil {
+		return chunkTerminated, 0, nil
 	}
 	if mode != ModeMeasure {
 		r.nominal += uint64(n) * r.nomCharge
@@ -378,12 +347,22 @@ func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, u
 	return chunkRunning, uint64(n), nil
 }
 
-// terminated handles an exhausted stream: a stream error fails the run,
-// otherwise the process completed.
-func (r *Runner) terminated(p *process) (chunkOutcome, uint64, error) {
-	if err := trace.StreamErr(p.src); err != nil {
-		return chunkFailed, 0, fmt.Errorf("sched: process %q: trace stream after %d instructions: %w",
-			p.name, r.res.PerProcess[p.name], err)
+// stepBatch runs a measure-mode chunk of a process whose stream is a
+// trace.BatchStream but not a cursor: Batch, then the target's
+// StepBatch. An empty batch ends the process, or, when the stream
+// reports a failure through trace.StreamErr, the run with that error.
+// Only perfbench's traced replay takes this branch, because
+// its timing wrappers hide the cursor to time the decode; the branch
+// goes when they do.
+func (r *Runner) stepBatch(p *process, mode Mode, k int) (n int, syscall bool, err error) {
+	if mode != ModeMeasure {
+		return 0, false, fmt.Errorf("stream %T is not a packed-trace cursor", p.bs)
 	}
-	return chunkTerminated, 0, nil
+	evs := p.bs.Batch(min(k, quantumBatchMax))
+	if len(evs) == 0 {
+		return 0, false, trace.StreamErr(p.bs)
+	}
+	n, err = r.batch.StepBatch(p.pid, evs)
+	p.bs.Skip(n)
+	return n, n > 0 && evs[n-1].Syscall, err
 }

@@ -1,17 +1,55 @@
 package sched
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mmu"
+	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
-// runnerProcs builds packed-cursor processes over the shared batch
-// workload, the same shape Run's equivalence tests use.
-func runnerProcs() []Process { return workloadProcs(true) }
+// batchWorkload builds per-process traces with stalls, loads, stores,
+// and periodic syscalls, long enough to cross several time slices.
+func batchWorkload(n int) []*trace.MemTrace {
+	names := 3
+	out := make([]*trace.MemTrace, names)
+	for p := 0; p < names; p++ {
+		var mt trace.MemTrace
+		for i := 0; i < n+p*101; i++ {
+			ev := trace.Event{PC: uint32(0x40000 + 4*(i%977)), Stall: uint8((i + p) % 4)}
+			switch i % 7 {
+			case 2:
+				ev.Kind = trace.Load
+				ev.Size = 4
+				ev.Data = uint32(0x100000 + 8*((i*13+p)%4096))
+			case 5:
+				ev.Kind = trace.Store
+				ev.Size = 4
+				ev.Data = uint32(0x200000 + 8*((i*29+p)%4096))
+			}
+			if i%811 == 810 {
+				ev.Syscall = true
+			}
+			mt.Append(ev)
+		}
+		out[p] = &mt
+	}
+	return out
+}
+
+// workloadProcs returns the batch workload as processes whose streams
+// are packed-trace cursors.
+func workloadProcs() []Process {
+	traces := batchWorkload(5000)
+	procs := make([]Process, len(traces))
+	for i, mt := range traces {
+		procs[i] = Process{Name: []string{"alpha", "beta", "gamma"}[i], Stream: trace.Pack(mt).NewCursor()}
+	}
+	return procs
+}
 
 func newRunnerSystem(t *testing.T) *core.System {
 	t.Helper()
@@ -40,7 +78,7 @@ func drainRunner(t *testing.T, r *Runner, budget uint64, mode Mode) uint64 {
 	return total
 }
 
-// TestRunnerMeasureMatchesRun pins the Runner's core contract: driven
+// TestRunnerMeasureMatchesRun pins the Runner's resumability: driven
 // entirely in measure mode, it is Run — identical scheduling results
 // and identical system statistics, whether advanced in one huge budget
 // or resumed across many odd-sized budgets (so quantum state survives a
@@ -55,13 +93,13 @@ func TestRunnerMeasureMatchesRun(t *testing.T) {
 	budgets := []uint64{1 << 62, 537, 4096, 1}
 	for _, scfg := range cfgs {
 		wantSys := newRunnerSystem(t)
-		wantRes, err := Run(wantSys, runnerProcs(), scfg)
+		wantRes, err := Run(wantSys, workloadProcs(), scfg)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		for _, budget := range budgets {
 			sys := newRunnerSystem(t)
-			r, err := NewRunner(sys, runnerProcs(), scfg)
+			r, err := NewRunner(sys, workloadProcs(), scfg)
 			if err != nil {
 				t.Fatalf("NewRunner: %v", err)
 			}
@@ -87,12 +125,12 @@ func TestRunnerMeasureMatchesRun(t *testing.T) {
 func TestRunnerSkipHonorsSyscalls(t *testing.T) {
 	scfg := Config{TimeSlice: 1 << 40}
 	wantSys := newRunnerSystem(t)
-	wantRes, err := Run(wantSys, runnerProcs(), scfg)
+	wantRes, err := Run(wantSys, workloadProcs(), scfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	sys := newRunnerSystem(t)
-	r, err := NewRunner(sys, runnerProcs(), scfg)
+	r, err := NewRunner(sys, workloadProcs(), scfg)
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
@@ -122,7 +160,7 @@ func TestRunnerSkipHonorsSyscalls(t *testing.T) {
 func TestRunnerMixedModesDeterministic(t *testing.T) {
 	run := func() (Result, core.Stats) {
 		sys := newRunnerSystem(t)
-		r, err := NewRunner(sys, runnerProcs(), Config{TimeSlice: 900})
+		r, err := NewRunner(sys, workloadProcs(), Config{TimeSlice: 900})
 		if err != nil {
 			t.Fatalf("NewRunner: %v", err)
 		}
@@ -159,57 +197,151 @@ func TestRunnerMixedModesDeterministic(t *testing.T) {
 	}
 }
 
-// batchOnlyStream hides a cursor's concrete type, so the runner's warm
-// mode falls back to the decoded Batch+WarmBatch path instead of the
-// raw-word WarmScan fast path.
-type batchOnlyStream struct{ c *trace.Cursor }
+// warmProcs packs four synthetic processes whose working sets overflow
+// the Base L1s, with a syscall every 10,000 instructions.
+func warmProcs() []Process {
+	procs := make([]Process, 4)
+	for i := range procs {
+		procs[i] = Process{Name: string(rune('a' + i)), Stream: trace.Pack(synth.New(synth.Config{
+			Instructions: 40_000,
+			LoadFrac:     0.20,
+			StoreFrac:    0.10,
+			CodeBytes:    64 * 1024,
+			DataBytes:    512 * 1024,
+			SeqFrac:      0.5,
+			HotFrac:      0.3,
+			SyscallEvery: 10_000,
+			Seed:         0x5eed + uint64(i),
+		})).NewCursor()}
+	}
+	return procs
+}
 
-func (b batchOnlyStream) Next(ev *trace.Event) bool   { return b.c.Next(ev) }
-func (b batchOnlyStream) Batch(max int) []trace.Event { return b.c.Batch(max) }
-func (b batchOnlyStream) Skip(n int)                  { b.c.Skip(n) }
+// warmPolicies returns Base under each write policy.
+func warmPolicies() []core.Config {
+	var cfgs []core.Config
+	for _, p := range []core.WritePolicy{core.WriteBack, core.WriteMissInvalidate, core.WriteOnly, core.Subblock} {
+		cfg := core.Base()
+		cfg.WritePolicy = p
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
+}
 
-// TestRunnerWarmScanMatchesBatchPath pins the warm fast path end to
-// end: driving the whole workload in warm mode through WarmScan must
-// visit the same syscall switches and quantum edges, produce the same
-// scheduling result, and leave bit-identical functional cache state as
-// the decoded WarmBatch fallback. Odd budgets land RunFor boundaries
-// mid-slice; the short time slice forces expiries under the nominal
-// clock; the workload's periodic syscalls force early stops inside
-// scan chunks.
-func TestRunnerWarmScanMatchesBatchPath(t *testing.T) {
-	run := func(hideCursor bool) (Result, uint64, core.Stats) {
-		sys := newRunnerSystem(t)
-		procs := runnerProcs()
-		if hideCursor {
-			for i := range procs {
-				procs[i].Stream = batchOnlyStream{procs[i].Stream.(*trace.Cursor)}
-			}
+// drainWarm drains a Runner over warmProcs in warm mode at the given
+// slice and nominal CPI, returning its result and the system.
+func drainWarm(t *testing.T, cfg core.Config, scfg Config, cpi float64, mode Mode) (Result, *core.System) {
+	t.Helper()
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	r, err := NewRunner(sys, warmProcs(), scfg)
+	if err != nil {
+		t.Fatalf("NewRunner: %v", err)
+	}
+	r.SetNominalCPI(cpi)
+	drainRunner(t, r, 137, mode)
+	return r.Result(), sys
+}
+
+// TestRunnerWarmMatchesSkip pins warm mode's schedule: warming charges
+// the virtual clock per instruction exactly as skipping does, so a
+// Runner drained in warm mode makes the same switches, at the same
+// instructions, as one drained in skip mode at the same nominal CPI and
+// budgets. A short slice makes both kinds of switch happen, and the
+// target's clock and Stats must not move.
+func TestRunnerWarmMatchesSkip(t *testing.T) {
+	scfg := Config{Level: 3, TimeSlice: 3000}
+	for _, cfg := range warmPolicies() {
+		warm, sys := drainWarm(t, cfg, scfg, 2.3, ModeWarm)
+		skip, _ := drainWarm(t, cfg, scfg, 2.3, ModeSkip)
+		if !reflect.DeepEqual(warm, skip) {
+			t.Errorf("%v: warm schedule diverged from skip\nwarm: %+v\nskip: %+v", cfg.WritePolicy, warm, skip)
 		}
-		r, err := NewRunner(sys, procs, Config{TimeSlice: 900})
+		if warm.SyscallSwitches == 0 || warm.SliceSwitches == 0 {
+			t.Errorf("%v: want both switch kinds, got syscall=%d slice=%d", cfg.WritePolicy, warm.SyscallSwitches, warm.SliceSwitches)
+		}
+		if sys.Now() != 0 || sys.Stats().Instructions != 0 {
+			t.Errorf("%v: warm mode moved the clock to %d and counted %d instructions", cfg.WritePolicy, sys.Now(), sys.Stats().Instructions)
+		}
+	}
+}
+
+// TestRunnerWarmMatchesExactFingerprint pins warm mode's state: with
+// slices too long to expire, switches are syscall-driven only, so a
+// multiprogrammed warm drain interleaves the processes exactly as Run
+// does, and must leave the cache state the exact run leaves once its
+// write buffer drains.
+func TestRunnerWarmMatchesExactFingerprint(t *testing.T) {
+	scfg := Config{Level: 3, TimeSlice: 1 << 40}
+	for _, cfg := range warmPolicies() {
+		exactSys, err := core.NewSystem(cfg)
+		if err != nil {
+			t.Fatalf("NewSystem: %v", err)
+		}
+		exact, err := Run(exactSys, warmProcs(), scfg)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		exactSys.DrainWriteBuffer()
+		warm, warmSys := drainWarm(t, cfg, scfg, 1, ModeWarm)
+		warm.CyclesPerSwitch = exact.CyclesPerSwitch // the clocks differ by design
+		if !reflect.DeepEqual(warm, exact) {
+			t.Errorf("%v: warm schedule diverged from exact\nwarm:  %+v\nexact: %+v", cfg.WritePolicy, warm, exact)
+		}
+		if e, w := exactSys.CacheFingerprint(), warmSys.CacheFingerprint(); e != w {
+			t.Errorf("%v: cache state diverged: exact %#x, warm %#x", cfg.WritePolicy, e, w)
+		}
+	}
+}
+
+// TestHugeTimeSlices pins time slices near the top of the clock: a
+// deadline that would wrap saturates, and the chunk cap is clamped
+// before any conversion, so Run and a Runner in every mode consume the
+// whole workload with exactly the schedule of a 2^40 slice — its
+// syscall switches and no slice switch.
+func TestHugeTimeSlices(t *testing.T) {
+	var total uint64
+	for _, mt := range batchWorkload(5000) {
+		total += uint64(mt.Len())
+	}
+	runAt := func(slice uint64) Result {
+		res, err := Run(newRunnerSystem(t), workloadProcs(), Config{TimeSlice: slice})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return res
+	}
+	drainAt := func(slice uint64, mode Mode) Result {
+		r, err := NewRunner(newRunnerSystem(t), workloadProcs(), Config{TimeSlice: slice})
 		if err != nil {
 			t.Fatalf("NewRunner: %v", err)
 		}
-		r.SetNominalCPI(2.0)
-		drainRunner(t, r, 137, ModeWarm)
-		return r.Result(), sys.CacheFingerprint(), sys.Stats()
+		r.SetNominalCPI(2.5)
+		drainRunner(t, r, 1<<62, mode)
+		return r.Result()
 	}
-	scanRes, scanFP, scanStats := run(false)
-	batchRes, batchFP, batchStats := run(true)
-	if !reflect.DeepEqual(scanRes, batchRes) {
-		t.Errorf("scheduling result diverged\nscan:  %+v\nbatch: %+v", scanRes, batchRes)
+	want := runAt(1 << 40)
+	if want.Instructions != total || want.SliceSwitches != 0 || want.SyscallSwitches == 0 {
+		t.Fatalf("2^40 slice: %+v; want all %d instructions, syscall switches only", want, total)
 	}
-	if scanFP != batchFP {
-		t.Errorf("cache state diverged: scan fingerprint %#x, batch %#x", scanFP, batchFP)
+	huge := []uint64{1 << 55, 1 << 56, 1 << 62, 1 << 63, math.MaxUint64}
+	for _, slice := range huge {
+		if got := runAt(slice); !reflect.DeepEqual(got, want) {
+			t.Errorf("Run at slice %d: %+v, want %+v", slice, got, want)
+		}
 	}
-	if scanStats != batchStats {
-		t.Errorf("system stats diverged\nscan:  %+v\nbatch: %+v", scanStats, batchStats)
-	}
-	if scanStats.Instructions != 0 {
-		t.Errorf("warm mode executed %d instructions on the target; must not touch Stats", scanStats.Instructions)
-	}
-	if scanRes.SyscallSwitches == 0 || scanRes.SliceSwitches == 0 {
-		t.Errorf("want both switch kinds exercised, got syscall=%d slice=%d",
-			scanRes.SyscallSwitches, scanRes.SliceSwitches)
+	for _, mode := range []Mode{ModeMeasure, ModeWarm, ModeSkip} {
+		want := drainAt(1<<40, mode)
+		if want.Instructions != total || want.SliceSwitches != 0 {
+			t.Fatalf("%v mode at a 2^40 slice: %+v; want all %d instructions, no slice switch", mode, want, total)
+		}
+		for _, slice := range huge {
+			if got := drainAt(slice, mode); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v mode at slice %d: %+v, want %+v", mode, slice, got, want)
+			}
+		}
 	}
 }
 
@@ -221,7 +353,7 @@ func TestRunnerWarmScanMatchesBatchPath(t *testing.T) {
 func TestRunnerNominalClockDrivesSlices(t *testing.T) {
 	switches := func(cpi float64) uint64 {
 		sys := newRunnerSystem(t)
-		r, err := NewRunner(sys, runnerProcs(), Config{TimeSlice: 2000, NoSyscallSwitch: true})
+		r, err := NewRunner(sys, workloadProcs(), Config{TimeSlice: 2000, NoSyscallSwitch: true})
 		if err != nil {
 			t.Fatalf("NewRunner: %v", err)
 		}
@@ -238,12 +370,23 @@ func TestRunnerNominalClockDrivesSlices(t *testing.T) {
 	}
 }
 
-// TestRunnerRejectsNonBatchStream pins the constructor contract.
+// TestRunnerRejectsNonBatchStream pins the constructor contract: a
+// stream must be a cursor, or a BatchStream for a target that can step
+// decoded events, which then runs in measure mode only.
 func TestRunnerRejectsNonBatchStream(t *testing.T) {
 	sys := newRunnerSystem(t)
-	_, err := NewRunner(sys, []Process{{Name: "raw", Stream: serialStream{}}}, Config{})
-	if err == nil {
-		t.Fatalf("NewRunner accepted a non-batch stream")
+	if _, err := NewRunner(sys, []Process{{Name: "raw", Stream: serialStream{}}}, Config{}); err == nil {
+		t.Fatalf("NewRunner accepted a plain stream")
+	}
+	if _, err := NewRunner(scanOnlyTarget{}, batchOnlyProcs(), Config{}); err == nil {
+		t.Fatalf("NewRunner accepted a batch-only stream for a target without StepBatch")
+	}
+	r, err := NewRunner(sys, batchOnlyProcs(), Config{})
+	if err != nil {
+		t.Fatalf("NewRunner: %v", err)
+	}
+	if _, err := r.RunFor(10, ModeSkip); err == nil {
+		t.Fatalf("skip mode ran a batch-only stream")
 	}
 }
 
@@ -254,23 +397,23 @@ func (serialStream) Next(*trace.Event) bool { return false }
 
 // TestRunnerWarmRequiresWarmTarget pins the warm-mode runtime check.
 func TestRunnerWarmRequiresWarmTarget(t *testing.T) {
-	r, err := NewRunner(plainBatchTarget{}, runnerProcs(), Config{})
+	r, err := NewRunner(scanOnlyTarget{}, workloadProcs(), Config{})
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
 	if _, err := r.RunFor(10, ModeWarm); err == nil {
-		t.Fatalf("warm mode on a target without WarmBatch did not error")
+		t.Fatalf("warm mode on a target without WarmScan did not error")
 	}
 	if _, err := r.RunFor(10, ModeSkip); err != nil {
-		t.Fatalf("skip mode must not require WarmBatch: %v", err)
+		t.Fatalf("skip mode must not require WarmScan: %v", err)
 	}
 }
 
-// plainBatchTarget implements BatchTarget but not WarmTarget.
-type plainBatchTarget struct{}
+// scanOnlyTarget implements Target and nothing more.
+type scanOnlyTarget struct{}
 
-func (plainBatchTarget) Step(mmu.PID, *trace.Event) error { return nil }
-func (plainBatchTarget) Now() uint64                      { return 0 }
-func (plainBatchTarget) StepBatch(_ mmu.PID, evs []trace.Event) (int, error) {
-	return len(evs), nil
+func (scanOnlyTarget) Now() uint64 { return 0 }
+func (scanOnlyTarget) StepScan(_ mmu.PID, c *trace.Cursor, max int) (int, bool, error) {
+	n, syscall := c.SkipScan(max)
+	return n, syscall, nil
 }

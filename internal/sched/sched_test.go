@@ -15,16 +15,53 @@ type fakeTarget struct {
 	cyclesPer uint64
 	pids      []mmu.PID
 	pcs       []uint32
-	stepErr   error // returned by every Step when set
+	stepErr   error // returned by the first step when set
 }
 
 func newFake(cyclesPer uint64) *fakeTarget { return &fakeTarget{cyclesPer: cyclesPer} }
 
-func (f *fakeTarget) Step(pid mmu.PID, ev *trace.Event) error {
-	f.now += f.cyclesPer
-	f.pids = append(f.pids, pid)
-	f.pcs = append(f.pcs, ev.PC)
-	return f.stepErr
+// StepScan steps events one at a time with the Target contract's stops.
+func (f *fakeTarget) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error) {
+	if max <= 0 {
+		return 0, false, nil
+	}
+	stop := f.now + uint64(max)
+	var ev trace.Event
+	for c.Next(&ev) {
+		n++
+		f.now += f.cyclesPer
+		f.pids = append(f.pids, pid)
+		f.pcs = append(f.pcs, ev.PC)
+		if f.stepErr != nil {
+			return n, false, f.stepErr
+		}
+		if ev.Syscall {
+			return n, true, nil
+		}
+		if f.now >= stop {
+			break
+		}
+	}
+	return n, false, nil
+}
+
+// StepBatch steps a slice of decoded events with StepScan's stops, its
+// length as the cycle budget, for streams that are not cursors.
+func (f *fakeTarget) StepBatch(pid mmu.PID, evs []trace.Event) (n int, err error) {
+	stop := f.now + uint64(len(evs))
+	for _, ev := range evs {
+		n++
+		f.now += f.cyclesPer
+		f.pids = append(f.pids, pid)
+		f.pcs = append(f.pcs, ev.PC)
+		if f.stepErr != nil {
+			return n, f.stepErr
+		}
+		if ev.Syscall || f.now >= stop {
+			break
+		}
+	}
+	return n, nil
 }
 
 func (f *fakeTarget) Now() uint64 { return f.now }
@@ -39,9 +76,9 @@ func mustRun(t *testing.T, target Target, procs []Process, cfg Config) Result {
 	return res
 }
 
-// mkTrace builds a trace of n events; syscallEvery > 0 marks every k-th
-// event as a voluntary system call.
-func mkTrace(n int, syscallEvery int) *trace.MemTrace {
+// mkTrace builds a packed trace of n events; syscallEvery > 0 marks
+// every k-th event as a voluntary system call.
+func mkTrace(n int, syscallEvery int) *trace.Cursor {
 	events := make([]trace.Event, n)
 	for i := range events {
 		events[i].PC = uint32(i * 4)
@@ -49,7 +86,7 @@ func mkTrace(n int, syscallEvery int) *trace.MemTrace {
 			events[i].Syscall = true
 		}
 	}
-	return trace.NewMemTrace(events)
+	return trace.Pack(trace.NewMemTrace(events)).NewCursor()
 }
 
 func TestAllInstructionsRun(t *testing.T) {
@@ -254,10 +291,13 @@ func TestPerProcessAccounting(t *testing.T) {
 }
 
 // failingStream yields n good events, then fails like a Reader over a
-// truncated tape: Next returns false and Err reports why.
+// truncated tape: Batch comes back empty and Err reports why. It is a
+// trace.BatchStream that is not a cursor, the one kind of stream the
+// scheduler takes that can fail.
 type failingStream struct {
 	n   int
 	err error
+	buf []trace.Event
 }
 
 func (f *failingStream) Next(ev *trace.Event) bool {
@@ -268,6 +308,16 @@ func (f *failingStream) Next(ev *trace.Event) bool {
 	ev.PC = uint32(f.n * 4)
 	return true
 }
+
+func (f *failingStream) Batch(max int) []trace.Event {
+	f.buf = f.buf[:0]
+	for i := range min(max, f.n) {
+		f.buf = append(f.buf, trace.Event{PC: uint32((f.n - 1 - i) * 4)})
+	}
+	return f.buf
+}
+
+func (f *failingStream) Skip(n int) { f.n -= n }
 
 func (f *failingStream) Err() error { return f.err }
 

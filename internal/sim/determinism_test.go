@@ -25,7 +25,7 @@ func snapshot(res sim.Result) string {
 func run(t *testing.T, cfg core.Config) sim.Result {
 	t.Helper()
 	cfg.SelfCheck = 10_000
-	res, err := sim.Run(cfg, workload.PaperLike(4, 60_000), sched.Config{
+	res, err := sim.Run(cfg, workload.ReplayProcesses(workload.RecordPaperLike(4, 60_000)), sched.Config{
 		Level:     4,
 		TimeSlice: 20_000,
 	})

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 // runPolicy simulates one synthetic trace under a write policy and
@@ -19,7 +20,7 @@ func runPolicy(t *testing.T, p core.WritePolicy, seed uint64) uint64 {
 	}
 	procs := []sched.Process{{
 		Name: "synth",
-		Stream: synth.New(synth.Config{
+		Stream: trace.Pack(synth.New(synth.Config{
 			Instructions: 150_000,
 			Seed:         seed,
 			LoadFrac:     0.2,
@@ -27,7 +28,7 @@ func runPolicy(t *testing.T, p core.WritePolicy, seed uint64) uint64 {
 			SeqFrac:      0.3,
 			HotFrac:      0.4,
 			StoreBurst:   3,
-		}),
+		})).NewCursor(),
 	}}
 	res := mustRun(t, cfg, procs, sched.Config{Level: 1})
 	return res.Stats.Cycles
@@ -74,7 +75,7 @@ func TestSlowerL2NeverHelps(t *testing.T) {
 			cfg.L2U.Timing = core.TimingForAccess(access)
 			procs := []sched.Process{{
 				Name:   "synth",
-				Stream: synth.New(synth.Config{Instructions: 100_000, Seed: 42}),
+				Stream: trace.Pack(synth.New(synth.Config{Instructions: 100_000, Seed: 42})).NewCursor(),
 			}}
 			cycles := mustRun(t, cfg, procs, sched.Config{Level: 1}).Stats.Cycles
 			if cycles < prev {
@@ -98,7 +99,7 @@ func TestLargerL2NeverHurts(t *testing.T) {
 		cfg.L2U.Geom.SizeWords = sizeKW * 1024
 		procs := []sched.Process{{
 			Name:   "synth",
-			Stream: synth.New(synth.Config{Instructions: 120_000, Seed: 77, DataBytes: 1 << 20}),
+			Stream: trace.Pack(synth.New(synth.Config{Instructions: 120_000, Seed: 77, DataBytes: 1 << 20})).NewCursor(),
 		}}
 		cycles := mustRun(t, cfg, procs, sched.Config{Level: 1}).Stats.Cycles
 		if i > 0 && cycles > prev {

@@ -21,12 +21,12 @@ func (r Result) CPI() float64 { return r.Stats.CPI() }
 // Run simulates procs on a fresh system built from cfg, and releases the
 // system's cache arrays for the next run once its results are read.
 //
-// Errors come from three places: an unimplementable configuration
-// (before any simulation), a scheduler-surfaced fault mid-run (a target
-// fault or a failing trace stream), or — when cfg.SelfCheck is enabled
-// — a failed invariant check after the final write-buffer drain. In the
-// latter two cases the Result still carries the statistics of the
-// instructions that ran.
+// Errors come from three places: an unimplementable configuration or a
+// stream the scheduler cannot step (before any simulation), a target
+// fault mid-run, or — when cfg.SelfCheck is enabled — a failed
+// invariant check after the final write-buffer drain. In the latter two
+// cases the Result still carries the statistics of the instructions
+// that ran.
 func Run(cfg core.Config, procs []sched.Process, scfg sched.Config) (Result, error) {
 	sys, err := core.NewSystem(cfg)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/synth"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -14,12 +15,12 @@ func synthProcs(n int, instrs uint64) []sched.Process {
 	for i := range procs {
 		procs[i] = sched.Process{
 			Name: "synth",
-			Stream: synth.New(synth.Config{
+			Stream: trace.Pack(synth.New(synth.Config{
 				Instructions: instrs,
 				Seed:         uint64(i + 1),
 				StallProb:    0.2,
 				SyscallEvery: 50_000,
-			}),
+			})).NewCursor(),
 		}
 	}
 	return procs

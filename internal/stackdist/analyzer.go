@@ -23,12 +23,12 @@ type FilterStats struct {
 	L2IReads, L2DReads, L2DWrites uint64
 }
 
-// Analyzer is the one-pass engine. It implements sched.Target,
-// sched.BatchTarget and sched.ScanTarget, so it plugs into the same
-// round-robin multiplexing as the cycle-accurate core.System, and the
-// scheduler steps it straight off packed-trace cursors; Step never
-// fails (the analyzer has no invariant checker and no fault paths), so
-// a pass over a well-formed recording always completes.
+// Analyzer is the one-pass engine. It implements sched.Target, so it
+// plugs into the same round-robin multiplexing as the cycle-accurate
+// core.System, and the scheduler steps it straight off packed-trace
+// cursors; it never fails (the analyzer has no invariant checker and no
+// fault paths), so a pass over a well-formed recording always
+// completes.
 type Analyzer struct {
 	// classes holds the selected classes' analyzers (Config.Classes);
 	// an unselected class's entry is nil, and feeding it does nothing.
@@ -83,62 +83,32 @@ func New(cfg Config) (*Analyzer, error) {
 // Now returns the nominal clock (sched.Target).
 func (a *Analyzer) Now() uint64 { return a.now }
 
-// Step analyzes one instruction (sched.Target). The error is always
-// nil; the signature satisfies the scheduler's contract.
+// Step analyzes one instruction: the per-event reference StepScan is
+// held to, as core.System.Step is for the simulator. The error is
+// always nil.
 func (a *Analyzer) Step(pid mmu.PID, ev *trace.Event) error {
 	a.step(pid, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
 	return nil
 }
 
-// StepBatch analyzes events back to back (sched.BatchTarget), with the
-// same deterministic early-exit rule as core.System.StepBatch: return
-// after an executed syscall, or once the clock has advanced at least
-// len(evs) cycles since entry. Matching the rule exactly means the
-// scheduler produces the same interleaving for the analyzer as for the
-// simulator.
-func (a *Analyzer) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
-	stop := a.now + uint64(len(evs))
-	for i := range evs {
-		ev := &evs[i]
-		a.step(pid, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
-		if ev.Syscall || a.now >= stop {
-			return i + 1, nil
-		}
-	}
-	return len(evs), nil
-}
-
-// StepScan is StepBatch straight off a packed cursor's words
-// (sched.ScanTarget): it steps the events in place through
-// trace.DecodeAt, without building Events. The contract is StepBatch's
-// over the next max events of c: the scan consumes events until it has
-// analyzed a syscall event (reported true), the clock has advanced at
-// least max cycles since entry, or the cursor runs out; n == 0 with
-// max > 0 means c is exhausted. Events the cursor has already decoded
-// (Pending) run first, through the same per-instruction body. The
-// error is always nil.
+// StepScan analyzes the next events of a packed cursor in place
+// through trace.DecodeAt, without building Events (sched.Target). Its
+// stops are core.System.StepScan's, so the scheduler produces the same
+// interleaving for the analyzer as for the simulator: the scan consumes
+// events until it has analyzed a syscall event (reported true), the
+// clock has advanced at least max cycles since entry, or the cursor runs
+// out; n == 0 with max > 0 means c is exhausted. The error is always
+// nil.
 func (a *Analyzer) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error) {
 	if max <= 0 {
 		return 0, false, nil
 	}
 	stop := a.now + uint64(max)
-	pending := c.Pending()
-	for n < len(pending) {
-		ev := &pending[n]
-		a.step(pid, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
-		n++
-		if ev.Syscall || a.now >= stop {
-			c.Skip(n)
-			return n, ev.Syscall, nil
-		}
-	}
-	c.Skip(n)
 	words, w := c.RawWords()
-	raw := 0
 	for w < len(words) {
 		pc, meta, data, next := trace.DecodeAt(words, w)
 		w = next
-		raw++
+		n++
 		a.step(pid, pc, data, trace.Kind(meta>>trace.MetaKindShift),
 			uint8(meta>>trace.MetaSizeShift), uint8(meta>>trace.MetaStallShift))
 		if meta&trace.MetaSyscallBit != 0 {
@@ -149,13 +119,13 @@ func (a *Analyzer) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, sysca
 			break
 		}
 	}
-	c.RawAdvance(w, raw)
-	return n + raw, syscall, nil
+	c.RawAdvance(w, n)
+	return n, syscall, nil
 }
 
 // step analyzes one instruction from its decoded fields: the fetch,
-// then the data reference. It is the one per-instruction body of Step,
-// StepBatch and StepScan. The filter runs each access and reports its
+// then the data reference. It is the one per-instruction body of Step
+// and StepScan. The filter runs each access and reports its
 // physical address and miss kind; its L2 references arrive through
 // l2Side meanwhile.
 func (a *Analyzer) step(pid mmu.PID, pc, data uint32, kind trace.Kind, size, stall uint8) {

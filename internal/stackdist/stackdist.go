@@ -14,11 +14,11 @@
 // point of the grid at once — O(configs × trace) sweeps collapse to
 // O(trace).
 //
-// The analyzer implements sched.Target, sched.BatchTarget and
-// sched.ScanTarget, so the round-robin scheduler multiplexes the packed
-// per-process recordings onto it exactly as it does onto the
-// cycle-accurate core.System, stepping it straight off the packed words
-// (StepScan) without decoding events into a buffer: same PID
+// The analyzer implements sched.Target, so the round-robin scheduler
+// multiplexes the packed per-process recordings onto it exactly as it
+// does onto the cycle-accurate core.System, stepping it straight off
+// the packed words (StepScan) without decoding events into a buffer:
+// same PID
 // assignment, same syscall context switches, same MMU page coloring,
 // and therefore the same physical reference stream. Its clock is
 // nominal (one cycle per instruction plus the trace's own CPU stalls),

@@ -28,7 +28,7 @@ func smallConfig() stackdist.Config {
 // scheduler+analyzer stack.
 func analyze(t *testing.T, cfg stackdist.Config, evs []trace.Event) *stackdist.Result {
 	t.Helper()
-	procs := []sched.Process{{Name: "unit", Stream: trace.NewMemTrace(evs)}}
+	procs := []sched.Process{{Name: "unit", Stream: trace.Pack(trace.NewMemTrace(evs)).NewCursor()}}
 	res, _, err := stackdist.Analyze(cfg, procs, sched.Config{Level: 1})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
@@ -162,65 +162,38 @@ func paperConfig() stackdist.Config {
 	}
 }
 
-// serialStream hides a stream's batch interface so the scheduler takes
-// the one-instruction Step path.
-type serialStream struct{ s trace.Stream }
+// serialAnalyzer steps an analyzer one event at a time through Step,
+// with StepScan's stops spelled out: the per-event reference the
+// raw-word scan is held to.
+type serialAnalyzer struct{ *stackdist.Analyzer }
 
-func (s serialStream) Next(ev *trace.Event) bool { return s.s.Next(ev) }
-func (s serialStream) Err() error                { return trace.StreamErr(s.s) }
-
-// countingTarget is an analyzer that counts the scheduler's StepScan
-// and StepBatch calls, so a test can tell which path a pass took.
-type countingTarget struct {
-	*stackdist.Analyzer
-	scans, batches int
-}
-
-func (c *countingTarget) StepScan(pid mmu.PID, cur *trace.Cursor, max int) (int, bool, error) {
-	c.scans++
-	return c.Analyzer.StepScan(pid, cur, max)
-}
-
-func (c *countingTarget) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
-	c.batches++
-	return c.Analyzer.StepBatch(pid, evs)
-}
-
-// batchOnly hides a cursor behind trace.BatchStream alone, so the
-// scheduler takes the Batch plus StepBatch path instead of StepScan.
-type batchOnly struct{ c *trace.Cursor }
-
-func (b batchOnly) Next(ev *trace.Event) bool   { return b.c.Next(ev) }
-func (b batchOnly) Batch(max int) []trace.Event { return b.c.Batch(max) }
-func (b batchOnly) Skip(n int)                  { b.c.Skip(n) }
-
-// The scheduler steps an analyzer straight off cursors only because it
-// is a ScanTarget.
-var _ sched.ScanTarget = (*stackdist.Analyzer)(nil)
-
-// TestScanMatchesBatchAndSerial runs one pass per scheduler path:
-// cursors (StepScan), the same cursors behind a BatchStream-only
-// wrapper (Batch plus StepBatch) and behind a plain Stream (Step), plus
-// cursors that hold decoded but unconsumed events when the pass starts,
-// which StepScan must drain first. All four must give the same Result
-// and sched.Result, for ScreeningGrid's write-only filter and a
-// write-back one, at three levels and three time slices.
-func TestScanMatchesBatchAndSerial(t *testing.T) {
-	paths := []struct {
-		name         string
-		wrap         func(i int, c *trace.Cursor) trace.Stream
-		scan, batchd bool
-	}{
-		{"scan", func(_ int, c *trace.Cursor) trace.Stream { return c }, true, false},
-		{"batch", func(_ int, c *trace.Cursor) trace.Stream { return batchOnly{c} }, false, true},
-		{"serial", func(_ int, c *trace.Cursor) trace.Stream { return serialStream{c} }, false, false},
-		{"scan-pending", func(i int, c *trace.Cursor) trace.Stream {
-			if len(c.Batch(1+97*i)) == 0 {
-				t.Fatal("pending setup: empty recording")
-			}
-			return c
-		}, true, false},
+func (s serialAnalyzer) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error) {
+	if max <= 0 {
+		return 0, false, nil
 	}
+	stop := s.Now() + uint64(max)
+	var ev trace.Event
+	for c.Next(&ev) {
+		n++
+		if err := s.Step(pid, &ev); err != nil {
+			return n, false, err
+		}
+		if ev.Syscall {
+			return n, true, nil
+		}
+		if s.Now() >= stop {
+			break
+		}
+	}
+	return n, false, nil
+}
+
+// TestScanMatchesSerial runs each pass twice under the scheduler: the
+// analyzer's StepScan off the packed words, and the per-event Step
+// through serialAnalyzer. Both must give the same Result and
+// sched.Result, for ScreeningGrid's write-only filter and a write-back
+// one, at three levels and three time slices.
+func TestScanMatchesSerial(t *testing.T) {
 	grids := []struct {
 		name string
 		cfg  stackdist.Config
@@ -233,40 +206,29 @@ func TestScanMatchesBatchAndSerial(t *testing.T) {
 			for _, level := range []int{1, 8, 16} {
 				for _, slice := range []uint64{100_000, 500_000, 1 << 62} {
 					scfg := sched.Config{Level: level, TimeSlice: slice, MaxInstructions: 200_000}
-					var (
-						want      *stackdist.Result
-						wantSched sched.Result
-					)
-					for _, p := range paths {
-						procs := workload.ReplayProcesses(r.rec)
-						for i := range procs {
-							procs[i].Stream = p.wrap(i, procs[i].Stream.(*trace.Cursor))
-						}
+					where := fmt.Sprintf("%s %s level %d slice %d", r.name, g.name, level, slice)
+					pass := func(serial bool) (*stackdist.Result, sched.Result) {
 						a, err := stackdist.New(g.cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						target := &countingTarget{Analyzer: a}
-						sres, err := sched.Run(target, procs, scfg)
+						var target sched.Target = a
+						if serial {
+							target = serialAnalyzer{a}
+						}
+						sres, err := sched.Run(target, workload.ReplayProcesses(r.rec), scfg)
 						if err != nil {
-							t.Fatalf("%s %s %s %+v: %v", r.name, g.name, p.name, scfg, err)
+							t.Fatalf("%s: %v", where, err)
 						}
-						where := fmt.Sprintf("%s %s %s level %d slice %d", r.name, g.name, p.name, level, slice)
-						if (target.scans > 0) != p.scan || (target.batches > 0) != p.batchd {
-							t.Errorf("%s: %d StepScan and %d StepBatch calls, want scan %v batch %v",
-								where, target.scans, target.batches, p.scan, p.batchd)
-						}
-						res := a.Result()
-						if want == nil {
-							want, wantSched = res, sres
-							continue
-						}
-						if !reflect.DeepEqual(res, want) {
-							t.Errorf("%s: result differs from the scan path", where)
-						}
-						if !reflect.DeepEqual(sres, wantSched) {
-							t.Errorf("%s: schedule %+v, scan path %+v", where, sres, wantSched)
-						}
+						return a.Result(), sres
+					}
+					want, wantSched := pass(true)
+					got, gotSched := pass(false)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: scan result differs from the per-event pass", where)
+					}
+					if !reflect.DeepEqual(gotSched, wantSched) {
+						t.Errorf("%s: scan schedule %+v, per-event %+v", where, gotSched, wantSched)
 					}
 				}
 			}

@@ -162,20 +162,20 @@ func TestWalkMatchesOracle(t *testing.T) {
 	}
 }
 
-// resultEvery wraps an analyzer and snapshots its result every n
-// instructions, as a caller polling a pass in progress would.
+// resultEvery wraps an analyzer and snapshots its result before every
+// scan, cutting each scan to at most n cycles, as a caller polling a
+// pass in progress would. Shorter scans leave the schedule as it is:
+// the scheduler resumes them until the slice's deadline.
 type resultEvery struct {
-	a     *Analyzer
-	n, at int
+	a *Analyzer
+	n int
 }
 
 func (r *resultEvery) Now() uint64 { return r.a.Now() }
 
-func (r *resultEvery) Step(pid mmu.PID, ev *trace.Event) error {
-	if r.at++; r.at%r.n == 0 {
-		r.a.Result()
-	}
-	return r.a.Step(pid, ev)
+func (r *resultEvery) StepScan(pid mmu.PID, c *trace.Cursor, max int) (int, bool, error) {
+	r.a.Result()
+	return r.a.StepScan(pid, c, min(max, r.n))
 }
 
 // TestResultMidPassIsReadOnly polls Analyzer.Result throughout a pass

@@ -241,15 +241,17 @@ func WriteAll(w io.Writer, s Stream) (uint64, error) {
 	return tw.Count(), tw.Close()
 }
 
-// ReadAll decodes an entire trace file into a MemTrace.
-func ReadAll(r io.Reader) (*MemTrace, error) {
+// ReadAll decodes an entire trace file into a packed recording. A
+// corrupt or truncated tape fails here, where it is packed: the
+// recording's cursors cannot fail.
+func ReadAll(r io.Reader) (*Recorded, error) {
 	tr, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	t := Collect(tr)
-	if tr.Err() != nil {
-		return nil, tr.Err()
+	rec := Pack(tr)
+	if err := tr.Err(); err != nil {
+		return nil, err
 	}
-	return t, nil
+	return rec, nil
 }

@@ -35,7 +35,7 @@ func TestFileRoundTripBuffer(t *testing.T) {
 	if got.Len() != len(want) {
 		t.Fatalf("ReadAll len = %d, want %d", got.Len(), len(want))
 	}
-	for i, ev := range got.Events() {
+	for i, ev := range Collect(got.NewCursor()).Events() {
 		if ev != want[i] {
 			t.Errorf("event %d = %+v, want %+v", i, ev, want[i])
 		}
@@ -234,7 +234,7 @@ func TestFileRoundTripProperty(t *testing.T) {
 		if got.Len() != len(events) {
 			return false
 		}
-		for i, ev := range got.Events() {
+		for i, ev := range Collect(got.NewCursor()).Events() {
 			if ev != events[i] {
 				return false
 			}

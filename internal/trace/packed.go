@@ -167,29 +167,25 @@ func setEvent(ev *Event, pc, meta, data uint32) {
 // different goroutines (one goroutine per cursor).
 func (r *Recorded) NewCursor() *Cursor { return &Cursor{r: r} }
 
-// cursorBatchMax bounds a cursor's decode-ahead buffer (events).
+// cursorBatchMax bounds a cursor's decode buffer (events).
 const cursorBatchMax = 4096
 
-// Cursor replays a packed recording. It implements Stream for
-// event-at-a-time consumption and BatchStream for bulk replay: Batch
-// decodes a run of upcoming events into an internal buffer that Skip
-// then consumes, so a scheduler can hand whole slices to a batching
-// simulation target.
+// Cursor replays a packed recording from one position: the word index
+// of its next event. Next decodes that event and moves past it. Batch
+// decodes a run of upcoming events into a buffer without moving, and
+// Skip then moves past as many of them as the consumer used, by walking
+// their tags. The scanners over RawWords (SkipScan, and the exact,
+// warming and screening scans) start at the same position, so any mix
+// of calls consumes every event exactly once and in order.
 type Cursor struct {
 	r   *Recorded
-	w   int     // index of the next undecoded word
-	wEv int     // event index of the next undecoded word
-	buf []Event // decoded read-ahead
-	pos int     // events of buf already consumed
+	w   int     // word index of the next event
+	wEv int     // event index of the next event
+	buf []Event // Batch's decode buffer
 }
 
 // Next implements Stream.
 func (c *Cursor) Next(ev *Event) bool {
-	if c.pos < len(c.buf) {
-		*ev = c.buf[c.pos]
-		c.pos++
-		return true
-	}
 	if c.w >= len(c.r.words) {
 		return false
 	}
@@ -200,21 +196,12 @@ func (c *Cursor) Next(ev *Event) bool {
 	return true
 }
 
-// Batch implements BatchStream: it returns up to max upcoming events
-// without consuming them, decoding ahead into the cursor's buffer as
-// needed. The result is empty exactly when the cursor is exhausted and
-// stays valid until the next Batch or Next call.
+// Batch implements BatchStream: it decodes up to max upcoming events
+// (at most cursorBatchMax) without consuming them. The result is empty
+// exactly when the cursor is exhausted and stays valid until the next
+// Batch call.
 func (c *Cursor) Batch(max int) []Event {
-	if c.pos < len(c.buf) {
-		b := c.buf[c.pos:]
-		if len(b) > max {
-			b = b[:max]
-		}
-		return b
-	}
-	if max > cursorBatchMax {
-		max = cursorBatchMax
-	}
+	max = min(max, cursorBatchMax)
 	if max <= 0 {
 		return nil
 	}
@@ -232,33 +219,29 @@ func (c *Cursor) Batch(max int) []Event {
 		w = next
 		n++
 	}
-	c.w = w
-	c.wEv += n
-	c.buf = buf[:n]
-	c.pos = 0
-	return c.buf
+	return buf[:n]
 }
 
 // Skip implements BatchStream: it consumes n events, which must not
-// exceed the length of the last Batch result.
-func (c *Cursor) Skip(n int) { c.pos += n }
-
-// Pending returns the already-decoded but unconsumed events of the last
-// Batch call. A scanner over RawWords must consume (and Skip) these
-// before touching RawWords, or it would replay events the cursor has
-// already decoded past.
-func (c *Cursor) Pending() []Event { return c.buf[c.pos:] }
+// exceed the length of the last Batch result, by walking their tags.
+func (c *Cursor) Skip(n int) {
+	words, w := c.r.words, c.w
+	for i := 0; i < n; i++ {
+		w += int(words[w]&TagMask) + 1 // the tag is the event's length - 1
+	}
+	c.w = w
+	c.wEv += n
+}
 
 // RawWords exposes the packed word stream and the index of the
-// cursor's next undecoded word, for scanners that step events in place
-// with DecodeAt instead of materializing them. Only valid when Pending
-// is empty. The scanner must report its progress with RawAdvance before
-// any other cursor call.
+// cursor's next event, for scanners that step events in place with
+// DecodeAt instead of materializing them. The scanner must report its
+// progress with RawAdvance before any other cursor call.
 func (c *Cursor) RawWords() (words []uint32, w int) { return c.r.words, c.w }
 
-// RawAdvance commits a raw scan: the cursor's next undecoded word
-// becomes w, and n events are accounted as consumed. w and n must
-// describe a walk from the RawWords position over exactly n events.
+// RawAdvance commits a raw scan: the cursor's next event starts at word
+// w, and n events are accounted as consumed. w and n must describe a
+// walk from the RawWords position over exactly n events.
 func (c *Cursor) RawAdvance(w, n int) {
 	c.w = w
 	c.wEv += n

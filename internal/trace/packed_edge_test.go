@@ -2,10 +2,11 @@ package trace
 
 import "testing"
 
-// Edge cases of the Cursor and MemTrace BatchStream contracts, pinned
-// directly: the batching scheduler (internal/sched) and the one-pass
-// analyzer (internal/stackdist) both lean on these exact behaviors at
-// stream ends and syscall boundaries.
+// Edge cases of the Cursor's BatchStream contract, pinned directly at
+// stream ends and syscall boundaries: the scheduler's measure-mode batch
+// branch (internal/sched) leans on these exact behaviors. A MemTrace has
+// no Batch of its own; the TestMemTrace cases pin the same edges on the
+// cursor of a packed MemTrace.
 
 func plainEvents(n int) []Event {
 	evs := make([]Event, n)
@@ -75,6 +76,10 @@ func TestCursorPartialSkipRepresents(t *testing.T) {
 	if len(b) != 8 {
 		t.Fatalf("Batch(8) = %d events", len(b))
 	}
+	// Batch consumes nothing: a second one starts at the same event.
+	if again := c.Batch(2); len(again) != 2 || again[0] != evs[0] {
+		t.Fatalf("second Batch(2) = %+v, want events 0..1", again)
+	}
 	c.Skip(4) // through the syscall at index 3
 	b2 := c.Batch(8)
 	if len(b2) != 4 || b2[0].PC != evs[4].PC {
@@ -121,24 +126,24 @@ func TestCursorEmptyRecording(t *testing.T) {
 }
 
 func TestMemTraceSkipToEndExhausts(t *testing.T) {
-	mt := NewMemTrace(plainEvents(5))
-	mt.Skip(len(mt.Batch(5)))
-	if got := mt.Batch(5); len(got) != 0 {
+	c := Pack(NewMemTrace(plainEvents(5))).NewCursor()
+	c.Skip(len(c.Batch(5)))
+	if got := c.Batch(5); len(got) != 0 {
 		t.Errorf("Batch after full skip = %d events, want 0", len(got))
 	}
 	var ev Event
-	if mt.Next(&ev) {
+	if c.Next(&ev) {
 		t.Error("Next after full skip should report exhaustion")
 	}
 }
 
 func TestMemTraceZeroLengthBatch(t *testing.T) {
-	mt := NewMemTrace(plainEvents(3))
-	if got := mt.Batch(0); len(got) != 0 {
+	c := Pack(NewMemTrace(plainEvents(3))).NewCursor()
+	if got := c.Batch(0); len(got) != 0 {
 		t.Errorf("Batch(0) = %d events, want 0", len(got))
 	}
 	var ev Event
-	if !mt.Next(&ev) || ev.PC != 0 {
+	if !c.Next(&ev) || ev.PC != 0 {
 		t.Errorf("Next after Batch(0) = %+v, want PC 0", ev)
 	}
 }

@@ -81,8 +81,11 @@ func fuzzInput(reps byte, evs []Event) []byte {
 // FuzzPackedRoundTrip packs arbitrary events and requires every way of
 // reading the packed words back to reproduce them: Next, Batch and Skip
 // in random chunk sizes (partial skips included), and a DecodeAt walk
-// over RawWords. SkipScan from every event position must then land on
-// the word offset that walk found for the event it stops before.
+// over RawWords. One cursor driven through a random interleaving of all
+// of them and SkipScan must consume every event once, in order, and sit
+// on that walk's word offsets after each step. SkipScan from every
+// event position must then land on the word offset that walk found for
+// the event it stops before.
 func FuzzPackedRoundTrip(f *testing.F) {
 	f.Add(fuzzInput(0, fuzzSeedEvents))
 	f.Add(fuzzInput(0, packedSamples()))
@@ -160,6 +163,59 @@ func FuzzPackedRoundTrip(f *testing.F) {
 			t.Fatalf("DecodeAt walk found %d events, want %d", len(offsets), len(evs))
 		}
 		offsets = append(offsets, len(words))
+
+		// One cursor through a random interleaving of every way to
+		// consume: each step must hand out the next events in order and
+		// leave the cursor on the walk's offsets.
+		c = r.NewCursor()
+		for p := 0; p < len(evs); {
+			var got []Event // the events this step consumed, when it reads them
+			n := 0
+			switch rng.Intn(4) {
+			case 0:
+				if !c.Next(&ev) {
+					t.Fatalf("Next at event %d reported exhaustion", p)
+				}
+				got, n = append(got, ev), 1
+			case 1:
+				b := c.Batch(1 + rng.Intn(64))
+				for i, e := range b {
+					if p+i >= len(evs) || e != evs[p+i] {
+						t.Fatalf("Batch at event %d: event %d = %+v", p, p+i, e)
+					}
+				}
+				n = rng.Intn(len(b) + 1)
+				got = b[:n]
+				c.Skip(n)
+			case 2:
+				n, _ = c.SkipScan(1 + rng.Intn(64))
+				if n == 0 {
+					t.Fatalf("SkipScan at event %d consumed nothing", p)
+				}
+			case 3:
+				words, w := c.RawWords()
+				for k := 1 + rng.Intn(64); n < k && w < len(words); n++ {
+					pc, meta, d, next := DecodeAt(words, w)
+					var e Event
+					setEvent(&e, pc, meta, d)
+					got = append(got, e)
+					w = next
+				}
+				c.RawAdvance(w, n)
+			}
+			for i, e := range got {
+				if e != evs[p+i] {
+					t.Fatalf("event %d came out as %+v, want %+v", p+i, e, evs[p+i])
+				}
+			}
+			p += n
+			if c.w != offsets[p] || c.wEv != p {
+				t.Fatalf("after a step to event %d: cursor at word %d, event %d; want word %d", p, c.w, c.wEv, offsets[p])
+			}
+		}
+		if c.Next(&ev) || len(c.Batch(1)) != 0 {
+			t.Fatalf("interleaved cursor not exhausted after %d events", len(evs))
+		}
 
 		// nextSys[p] is the first syscall event at or after p.
 		nextSys := make([]int, len(evs)+1)

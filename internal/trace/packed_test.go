@@ -134,32 +134,36 @@ func TestCursorBatchSkip(t *testing.T) {
 	}
 }
 
+// TestMemTraceBatchSkip: a MemTrace has no Batch of its own; its events
+// reach a batch consumer through the cursor of its packed recording,
+// which must batch without consuming, skip, and interleave with Next
+// over them in order to the end.
 func TestMemTraceBatchSkip(t *testing.T) {
 	evs := []Event{{PC: 0}, {PC: 4}, {PC: 8}, {PC: 12}, {PC: 16}}
-	mt := NewMemTrace(evs)
-	b := mt.Batch(3)
+	c := Pack(NewMemTrace(evs)).NewCursor()
+	b := c.Batch(3)
 	if len(b) != 3 || b[0].PC != 0 || b[2].PC != 8 {
 		t.Fatalf("Batch(3) = %+v", b)
 	}
 	// Batch must not consume.
-	b2 := mt.Batch(2)
+	b2 := c.Batch(2)
 	if len(b2) != 2 || b2[0].PC != 0 {
 		t.Fatalf("second Batch(2) = %+v", b2)
 	}
-	mt.Skip(2)
+	c.Skip(2)
 	var ev Event
-	if !mt.Next(&ev) || ev.PC != 8 {
+	if !c.Next(&ev) || ev.PC != 8 {
 		t.Fatalf("Next after Skip(2) = %+v", ev)
 	}
-	b3 := mt.Batch(10)
+	b3 := c.Batch(10)
 	if len(b3) != 2 || b3[0].PC != 12 {
 		t.Fatalf("Batch(10) near end = %+v", b3)
 	}
-	mt.Skip(2)
-	if len(mt.Batch(1)) != 0 {
+	c.Skip(2)
+	if len(c.Batch(1)) != 0 {
 		t.Fatalf("Batch after exhaustion should be empty")
 	}
-	if mt.Next(&ev) {
+	if c.Next(&ev) {
 		t.Fatalf("Next after exhaustion should be false")
 	}
 }

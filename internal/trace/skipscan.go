@@ -1,46 +1,28 @@
 package trace
 
-// SkipScanner is implemented by streams that can discard a run of
-// upcoming events without materializing them, while still honoring the
-// one boundary a scheduler cares about: syscalls. SkipScan consumes up
-// to max events and stops early — after consuming the syscall event
-// itself — when an event carries the syscall flag, so a fast-forwarding
-// scheduler preserves the exact context-switch points of a full replay.
+// SkipScan discards a run of upcoming events without materializing
+// them, while still honoring the one boundary a scheduler cares about:
+// syscalls. It consumes up to max events and stops early — after
+// consuming the syscall event itself — when an event carries the
+// syscall flag, so a fast-forwarding scheduler preserves the exact
+// context-switch points of a full replay.
 //
 // It returns the number of events consumed and whether the last one was
 // a syscall. n == 0 with max > 0 means the stream is exhausted.
-// SkipScan composes with Batch/Skip: buffered-but-unconsumed events
-// from a prior Batch are consumed first.
-type SkipScanner interface {
-	SkipScan(max int) (n int, syscall bool)
-}
-
-// SkipScan implements SkipScanner using the recording's skip index:
-// the syscall event list bounds how far the scan may run, whole
-// skipIndexBlock strides are jumped via the per-block word offsets,
-// and only the sub-block residue is walked word by word (tag-length
-// arithmetic, no decode). Fast-forwarding a span therefore costs
+//
+// The scan uses the recording's skip index: the syscall event list
+// bounds how far the scan may run, whole skipIndexBlock strides are
+// jumped via the per-block word offsets, and only the sub-block residue
+// is walked word by word (tag-length arithmetic, no decode). Fast-forwarding a span therefore costs
 // O(log syscalls) plus at most one block of word hops, which is what
 // makes the skip phase of sampled simulation nearly free.
 func (c *Cursor) SkipScan(max int) (int, bool) {
-	n := 0
-	for c.pos < len(c.buf) && n < max {
-		sys := c.buf[c.pos].Syscall
-		c.pos++
-		n++
-		if sys {
-			return n, true
-		}
+	if max <= 0 || c.wEv >= c.r.n {
+		return 0, false
 	}
-	if n >= max || c.wEv >= c.r.n {
-		return n, false
-	}
-	// Resolve where this scan must stop: after the remaining budget,
-	// at stream end, or just past the next syscall, whichever is first.
-	target := c.wEv + (max - n)
-	if target > c.r.n {
-		target = c.r.n
-	}
+	// Resolve where this scan must stop: after the budget, at stream
+	// end, or just past the next syscall, whichever is first.
+	target := c.wEv + min(max, c.r.n-c.wEv)
 	syscall := false
 	if s := c.r.nextSyscall(c.wEv); s >= 0 && s < target {
 		target = s + 1 // consume the syscall event itself
@@ -49,7 +31,7 @@ func (c *Cursor) SkipScan(max int) (int, bool) {
 	// Jump whole indexed blocks, then walk the residue by tag length.
 	// Everything from the pre-jump position through target is consumed,
 	// so count n from the position before the jump.
-	n += target - c.wEv
+	n := target - c.wEv
 	if jb := target / skipIndexBlock; jb*skipIndexBlock > c.wEv && jb < len(c.r.blockWord) {
 		c.w = c.r.blockWord[jb]
 		c.wEv = jb * skipIndexBlock
@@ -80,18 +62,4 @@ func (r *Recorded) nextSyscall(from int) int {
 		return -1
 	}
 	return s[lo]
-}
-
-// SkipScan implements SkipScanner for in-memory traces.
-func (t *MemTrace) SkipScan(max int) (int, bool) {
-	n := 0
-	for n < max && t.pos < len(t.events) {
-		sys := t.events[t.pos].Syscall
-		t.pos++
-		n++
-		if sys {
-			return n, true
-		}
-	}
-	return n, false
 }

@@ -69,9 +69,10 @@ func TestSkipScanMatchesNext(t *testing.T) {
 	}
 }
 
-// TestSkipScanAfterBatch checks that SkipScan first consumes events a
-// prior Batch decoded but Skip did not consume, and that the resume
-// point after a mixed Batch/Skip/SkipScan sequence is exact.
+// TestSkipScanAfterBatch checks that a Batch consumes nothing: SkipScan
+// after a Batch and a partial Skip resumes where the Skip left the
+// cursor, and the resume point after a mixed Batch/Skip/SkipScan
+// sequence is exact.
 func TestSkipScanAfterBatch(t *testing.T) {
 	evs := skipScanEvents(t)
 	r := Pack(NewMemTrace(evs))
@@ -88,7 +89,7 @@ func TestSkipScanAfterBatch(t *testing.T) {
 			}
 			n := 1 + rng.Intn(len(b))
 			c.Skip(n)
-			ref.Skip(n)
+			Collect(Limit(ref, n))
 			consumed += n
 			continue
 		}
@@ -126,31 +127,22 @@ func TestSkipScanSyscallStops(t *testing.T) {
 		{PC: 0x100c, Syscall: true},
 		{PC: 0x1010},
 	}
-	impls := []struct {
-		name string
-		s    SkipScanner
-	}{
-		{"cursor", Pack(NewMemTrace(evs)).NewCursor()},
-		{"memtrace", NewMemTrace(evs)},
+	c := Pack(NewMemTrace(evs)).NewCursor()
+	n, sys := c.SkipScan(100)
+	if n != 2 || !sys {
+		t.Fatalf("first SkipScan = (%d, %v), want (2, true)", n, sys)
 	}
-	for _, tc := range impls {
-		name, s := tc.name, tc.s
-		n, sys := s.SkipScan(100)
-		if n != 2 || !sys {
-			t.Fatalf("%s: first SkipScan = (%d, %v), want (2, true)", name, n, sys)
-		}
-		n, sys = s.SkipScan(100)
-		if n != 2 || !sys {
-			t.Fatalf("%s: second SkipScan = (%d, %v), want (2, true)", name, n, sys)
-		}
-		n, sys = s.SkipScan(100)
-		if n != 1 || sys {
-			t.Fatalf("%s: third SkipScan = (%d, %v), want (1, false)", name, n, sys)
-		}
-		n, sys = s.SkipScan(100)
-		if n != 0 || sys {
-			t.Fatalf("%s: exhausted SkipScan = (%d, %v), want (0, false)", name, n, sys)
-		}
+	n, sys = c.SkipScan(100)
+	if n != 2 || !sys {
+		t.Fatalf("second SkipScan = (%d, %v), want (2, true)", n, sys)
+	}
+	n, sys = c.SkipScan(100)
+	if n != 1 || sys {
+		t.Fatalf("third SkipScan = (%d, %v), want (1, false)", n, sys)
+	}
+	n, sys = c.SkipScan(100)
+	if n != 0 || sys {
+		t.Fatalf("exhausted SkipScan = (%d, %v), want (0, false)", n, sys)
 	}
 }
 

@@ -7,8 +7,9 @@
 // instruction itself (load-use interlocks, branches, multicycle
 // operations), and whether the instruction was a voluntary system call.
 // A trace is a finite stream of events; Stream is the consumption
-// interface and MemTrace the in-memory implementation used for replaying
-// one trace across many cache configurations.
+// interface, MemTrace a plain in-memory list of events, and Recorded the
+// packed recording whose Cursors the scheduler replays across many cache
+// configurations.
 package trace
 
 import "fmt"
@@ -91,17 +92,18 @@ func StreamErr(s Stream) error {
 }
 
 // BatchStream is a Stream that can also expose runs of upcoming events
-// in bulk, so a consumer can hand whole slices to a batching simulation
-// target instead of paying an interface call per event.
-//
-// Batch returns up to max upcoming events WITHOUT consuming them; an
-// empty result means the stream is exhausted (for streams that also
-// implement Err, check StreamErr as with Next). The returned slice is
-// only valid until the next Batch or Next call, and must not be
+// in bulk. Batch returns up to max upcoming events WITHOUT consuming
+// them; an empty result means the stream is exhausted (for streams that
+// also implement Err, check StreamErr as with Next). The returned
+// slice is only valid until the next Batch call, and must not be
 // mutated. Skip then consumes n events, where n must not exceed the
 // length of the last Batch result; a consumer that processes fewer
 // events than it peeked calls Skip with the smaller count and the rest
 // are re-presented by the next Batch or Next.
+//
+// Cursor implements it. The scheduler steps cursors straight off their
+// packed words; it takes Batch only from a BatchStream that is not a
+// cursor, which means the timing wrappers of perfbench's traced replay.
 type BatchStream interface {
 	Stream
 	Batch(max int) []Event
@@ -155,22 +157,8 @@ func (t *MemTrace) Next(ev *Event) bool {
 	return true
 }
 
-// Batch implements BatchStream. MemTrace batches are zero-copy views
-// into the backing slice.
-func (t *MemTrace) Batch(max int) []Event {
-	b := t.events[t.pos:]
-	if len(b) > max {
-		b = b[:max]
-	}
-	return b
-}
-
-// Skip implements BatchStream.
-func (t *MemTrace) Skip(n int) { t.pos += n }
-
 // Clone returns a new MemTrace sharing the same events, rewound to the
-// start. Clones let several scheduler processes replay one trace
-// independently.
+// start. Clones let several consumers replay one trace independently.
 func (t *MemTrace) Clone() *MemTrace {
 	return &MemTrace{events: t.events}
 }

@@ -1,10 +1,11 @@
 // Package workload assembles the multiprogramming suite that stands in
 // for the paper's Table 1: ten benchmark kernels emulated from MIPS
 // assembly (internal/progs) plus two calibrated synthetic traces
-// (internal/synth) covering the very long FORTRAN tapes. It can hand
-// the scheduler live streams, or record each member once and replay the
-// in-memory traces across many cache configurations — the equivalent of
-// re-reading pixie trace tapes.
+// (internal/synth) covering the very long FORTRAN tapes. It records each
+// member once and replays the packed traces across many cache
+// configurations — the equivalent of re-reading pixie trace tapes. The
+// live streams it also hands out are for packing: the scheduler steps
+// packed cursors only.
 package workload
 
 import (
@@ -88,8 +89,8 @@ func Members() []Member {
 	return members
 }
 
-// Processes returns fresh live streams for every member, ready for
-// sched.Run. Each call re-emulates the benchmarks.
+// Processes returns fresh live streams for every member, to be packed
+// (trace.Pack) before sched.Run. Each call re-emulates the benchmarks.
 func Processes(scale int) []sched.Process {
 	members := Members()
 	procs := make([]sched.Process, len(members))
@@ -104,7 +105,8 @@ func Processes(scale int) []sched.Process {
 // a ~3.5% L1-D miss ratio in a 4 KW cache (98% write hits), and a small
 // L2 miss ratio. Experiments that depend quantitatively on those ratios
 // (the Fig. 5 write-policy crossover) are validated against this
-// workload as well as the harsher kernel suite.
+// workload as well as the harsher kernel suite. The streams are live;
+// RecordPaperLike packs them for the scheduler.
 func PaperLike(n int, instructions uint64) []sched.Process {
 	procs := make([]sched.Process, n)
 	for i := range procs {
