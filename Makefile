@@ -18,8 +18,10 @@ test:
 # per-layer benchmarks (trace Batch decode and SkipScan, MMU
 # translation, core StepBatch, StepScan and WarmScan, stackdist
 # Analyze per served class set, sampled simulation's skip, warm and
-# measure phases, the service's loopback hit per tier, the fabric's
-# coordinator-tier hit and forward hop) — and keep a machine-readable
+# measure phases, report JSON encoding, store Get/Put per fsync policy,
+# the service's request keying (strict path and memo) and loopback hit
+# per tier, the fabric's coordinator-tier hit and forward hop) — and
+# keep a machine-readable
 # log of the results (name -> ns/op + reported metrics, plus the host's
 # GOMAXPROCS, CPU count and Go version), stamped with the commit it measured ("-dirty" when the tree
 # had uncommitted changes), next to the console output. The log is named
@@ -29,7 +31,7 @@ test:
 #   go run ./cmd/benchjson -compare BENCH_<old>.json BENCH_<new>.json
 bench:
 	sha="$$(git describe --always --dirty 2>/dev/null || echo unknown)"; \
-	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/trace ./internal/mmu ./internal/core ./internal/stackdist ./internal/sample ./internal/service ./internal/fabric | $(GO) run ./cmd/benchjson \
+	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/trace ./internal/mmu ./internal/core ./internal/stackdist ./internal/sample ./internal/report ./internal/store ./internal/service ./internal/fabric | $(GO) run ./cmd/benchjson \
 		-sha "$$sha" -o "BENCH_$$(date +%Y-%m-%d)-$$sha.json"
 
 # lint: the repo-specific cachelint suite (internal/lint): nopanic,
@@ -42,8 +44,9 @@ lint:
 # under the race detector, vet and tests of the nested perfbench module
 # (root ./... skips it, so an API change it depends on would otherwise
 # go unnoticed), and short fuzz smokes over the trace-file reader, the
-# packed trace format, screening against the exact simulator, and the
-# scheduler against its per-event reference.
+# packed trace format, screening against the exact simulator, the
+# scheduler against its per-event reference, and the request-key memo
+# against the strict keying path.
 #
 # -timeout 20m: go test's default per-package limit, 10 minutes, is too
 # short under -race, where internal/experiments alone took 559-699 s on
@@ -60,6 +63,7 @@ verify: lint
 	$(GO) test -run=^$$ -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzScreeningMatchesExact -fuzztime=10s ./internal/stackdist
 	$(GO) test -run=^$$ -fuzz=FuzzRunMatchesReference -fuzztime=10s ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzKeyBodyMatchesDirect -fuzztime=10s ./internal/service
 
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=5m ./internal/trace

@@ -370,7 +370,7 @@ func (c *Client) attempt(ctx context.Context, build func(context.Context) (*http
 		return Result{}, ctx.Err() == nil, 0, fmt.Errorf("client: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return Result{}, ctx.Err() == nil, 0, fmt.Errorf("client: reading response: %w", err)
 	}
@@ -386,6 +386,26 @@ func (c *Client) attempt(ctx context.Context, build func(context.Context) (*http
 		return Result{}, true, 0, err
 	}
 	return Result{}, false, 0, err
+}
+
+// maxPresized caps the buffer readBody sizes from a Content-Length
+// header, so a header cannot make the client allocate more than this up
+// front. Served results are 1-3 KB.
+const maxPresized = 64 << 10
+
+// readBody reads a response body. A body of known length up to
+// maxPresized is read into one buffer of exactly that size; any other
+// body grows through io.ReadAll as it arrives.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxPresized {
+		return io.ReadAll(resp.Body)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // retryAfter parses a Retry-After header (delta-seconds or HTTP-date),

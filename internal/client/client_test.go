@@ -1,12 +1,18 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -397,5 +403,76 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if _, err := New(Options{}); err != nil {
 		t.Errorf("defaults rejected: %v", err)
+	}
+}
+
+// TestBodyOfKnownLengthReadExactly: a body with a Content-Length up to
+// maxPresized lands in a buffer of exactly its size; a chunked body or
+// one declared past the cap is read in full as it arrives; a body
+// shorter than its declared length is an error.
+func TestBodyOfKnownLengthReadExactly(t *testing.T) {
+	big := make([]byte, maxPresized+1)
+	for i := range big {
+		big[i] = byte('a' + i%26)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/known":
+			w.Header().Set("Content-Length", strconv.Itoa(3000))
+			w.Write(big[:3000])
+		case "/chunked":
+			w.Write(big[:1500])
+			w.(http.Flusher).Flush() // commits to chunked framing
+			w.Write(big[1500:3000])
+		case "/over-cap":
+			w.Header().Set("Content-Length", strconv.Itoa(len(big)))
+			w.Write(big)
+		case "/short":
+			w.Header().Set("Content-Length", "3000")
+			w.Write(big[:10])
+		}
+	}))
+	defer srv.Close()
+	c, _ := newTestClient(t, Options{MaxAttempts: 1})
+	for _, tc := range []struct {
+		path    string
+		want    []byte
+		exactly bool
+	}{
+		{"/known", big[:3000], true},
+		{"/chunked", big[:3000], false},
+		{"/over-cap", big, false},
+	} {
+		res, err := c.Get(context.Background(), srv.URL+tc.path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		if !bytes.Equal(res.Body, tc.want) {
+			t.Fatalf("%s: read %d bytes, want %d", tc.path, len(res.Body), len(tc.want))
+		}
+		if tc.exactly && cap(res.Body) != len(res.Body) {
+			t.Fatalf("%s: buffer cap %d for a %d-byte body", tc.path, cap(res.Body), len(res.Body))
+		}
+	}
+	if _, err := c.Get(context.Background(), srv.URL+"/short"); err == nil {
+		t.Fatal("a body shorter than its Content-Length was accepted")
+	}
+}
+
+// TestDeclaredLengthNotPreallocated: a response that declares 1 MiB and
+// breaks off after 20 bytes, as net/http reports it, is an error, and
+// reading it does not allocate the declared size.
+func TestDeclaredLengthNotPreallocated(t *testing.T) {
+	short := io.MultiReader(strings.NewReader(`{"experiment":"fig5"`), iotest.ErrReader(io.ErrUnexpectedEOF))
+	resp := &http.Response{ContentLength: 1 << 20, Body: io.NopCloser(short)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readBody(resp)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a body shorter than its Content-Length was accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<19 {
+		t.Fatalf("allocated %d bytes for a 20-byte body declared at 1 MiB", n)
 	}
 }

@@ -43,8 +43,8 @@ type l1Pair struct {
 	l2i, l2d *l2bank
 	l2obs    L2Observer
 
-	policy   WritePolicy
-	dirtyBit bool // LoadsPassStores == LPSDirtyBit
+	policy      WritePolicy
+	dVictimScan bool // policy == WriteBack || LoadsPassStores == LPSDirtyBit
 
 	l1iFetchBytes uint64
 	l1dFetchBytes uint64
@@ -63,11 +63,11 @@ func newL1Pair(m *mmu.MMU, cfg *Config) l1Pair {
 		l1i:           newCache(cfg.L1I),
 		l1d:           newCache(cfg.L1D),
 		policy:        cfg.WritePolicy,
-		dirtyBit:      cfg.LoadsPassStores == LPSDirtyBit,
 		l1iFetchBytes: uint64(cfg.l1iFetch() * trace.WordBytes),
 		l1dFetchBytes: uint64(cfg.l1dFetch() * trace.WordBytes),
 	}
 	p.iRefillKeepsLine = uint64(cfg.l1iFetch()/cfg.L1I.LineWords) <= p.l1i.sets
+	p.dVictimScan = p.policy == WriteBack || cfg.LoadsPassStores == LPSDirtyBit
 	return p
 }
 
@@ -218,7 +218,7 @@ func (p *l1Pair) warmRefill(l1 *cache, bank *l2bank, paddr, fetchBytes uint64, i
 	lineBytes := uint64(l1.geom.LineWords * trace.WordBytes)
 	var victimBuf [8]uint64
 	victims := victimBuf[:0]
-	if !instrSide && (p.policy == WriteBack || p.dirtyBit) {
+	if !instrSide && p.dVictimScan {
 		for off := uint64(0); off < fetchBytes; off += lineBytes {
 			line := l1.lineAddr(block + off)
 			slot := l1.find(line)

@@ -291,6 +291,41 @@ func TestWarmMatchesExactFinalStateByteStores(t *testing.T) {
 	}
 }
 
+// TestWarmDirtyBitWideRefillClearsVictim pins a case where a
+// write-through refill's victim scan under the dirty bit is live, so
+// the scan cannot be kept to write-back (see l1Pair.dVictimScan): a
+// 4-way, one-set write-only L1-D under the dirty bit, whose 2-line
+// refill block finds its first line in a slot other than the most
+// recently used. The first insert rewrites that slot and makes it most
+// recently used, so the second line replaces the slot after it, not
+// the one the scan (and the exact engine's evictFor) picked and
+// cleared. Warming must clear it too.
+func TestWarmDirtyBitWideRefillClearsVictim(t *testing.T) {
+	cfg := Base()
+	cfg.WritePolicy = WriteOnly
+	cfg.LoadsPassStores = LPSDirtyBit
+	cfg.L1D = CacheGeom{SizeWords: 16, LineWords: 4, Ways: 4}
+	cfg.L1DFetch = 8
+	rec := trace.Pack(trace.NewMemTrace([]trace.Event{
+		// Four write-only dirty lines fill the set; 0x4000 is the most
+		// recently used.
+		{PC: 0x100, Kind: trace.Store, Data: 0x1000, Size: 4},
+		{PC: 0x104, Kind: trace.Store, Data: 0x2000, Size: 4},
+		{PC: 0x108, Kind: trace.Store, Data: 0x3000, Size: 4},
+		{PC: 0x10c, Kind: trace.Store, Data: 0x4000, Size: 4},
+		// A load of 0x2000 reallocates its write-only line and refills
+		// the block 0x2000-0x201f; 0x2010's pre-refill victim is 0x1000.
+		{PC: 0x110, Kind: trace.Load, Data: 0x2000, Size: 4},
+	}))
+	exact := replayExact(t, cfg, rec)
+	if each := replayWarmEach(t, cfg, rec); each != exact {
+		t.Fatalf("cache state diverged: exact fingerprint %#x, per-event warming %#x", exact, each)
+	}
+	if scan := replayWarmScan(t, cfg, rec); scan != exact {
+		t.Fatalf("cache state diverged: exact fingerprint %#x, WarmScan %#x", exact, scan)
+	}
+}
+
 // TestStatsDelta pins Delta as the exact inverse of accumulation.
 func TestStatsDelta(t *testing.T) {
 	a := Stats{Instructions: 10, Cycles: 25, L1IMisses: 3, WBEnqueues: 2}

@@ -138,8 +138,10 @@ type Coordinator struct {
 	mux     *http.ServeMux
 	baseCtx context.Context
 	// results is the coordinator's own tier: relayed result bodies by
-	// content address, each with the worker that produced it.
+	// content address, each with the worker that produced it. keys maps
+	// request bytes to that address, under the same bound.
 	results *service.Cache
+	keys    *service.KeyMemo
 
 	requests  atomic.Uint64 // result-producing API requests
 	errors    atomic.Uint64 // error responses on those endpoints
@@ -172,6 +174,7 @@ func NewCoordinator(ctx context.Context, o CoordinatorOptions) (*Coordinator, er
 		cl:        cl,
 		baseCtx:   ctx,
 		results:   service.NewCache(resultEntries),
+		keys:      service.NewKeyMemo(resultEntries),
 		slots:     make(map[string]chan struct{}),
 		perWorker: make(map[string]*workerCounters),
 		start:     coordNow(),
@@ -412,6 +415,7 @@ func relay(w http.ResponseWriter, res client.Result, worker string) {
 		h.Set(service.WorkerHeader, worker)
 	}
 	h.Set("X-Fabric-Attempts", strconv.Itoa(res.Attempts))
+	h.Set("Content-Length", strconv.Itoa(len(res.Body)))
 	w.Write(res.Body)
 }
 
@@ -450,6 +454,7 @@ func (c *Coordinator) serveRemembered(w http.ResponseWriter, key string) bool {
 	h.Set("X-Cache-Key", key)
 	h.Set(service.WorkerHeader, worker)
 	h.Set("X-Fabric-Attempts", "0")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 	return true
 }
@@ -585,41 +590,29 @@ func (c *Coordinator) handleExperiments(w http.ResponseWriter, r *http.Request) 
 }
 
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
-	var req service.SweepRequest
-	raw, err := service.ReadJSON(w, r, &req)
-	if err != nil {
-		c.coordFail(w, err)
-		return
-	}
-	key, err := service.SweepKey(req)
-	if err != nil {
-		c.coordFail(w, err)
-		return
-	}
-	c.serveKeyed(w, r, "/v1/sweep", raw, key)
+	c.serveKeyed(w, r, "/v1/sweep", service.KindSweep)
 }
 
 func (c *Coordinator) handleSim(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
-	var req service.SimRequest
-	raw, err := service.ReadJSON(w, r, &req)
-	if err != nil {
-		c.coordFail(w, err)
-		return
-	}
-	key, err := service.SimKey(req)
-	if err != nil {
-		c.coordFail(w, err)
-		return
-	}
-	c.serveKeyed(w, r, "/v1/sim", raw, key)
+	c.serveKeyed(w, r, "/v1/sim", service.KindSim)
 }
 
-// serveKeyed answers one validated, keyed request: 503 while draining,
-// else from the coordinator's tier, else by forwarding it to the key's
-// ring owner and remembering the answer.
-func (c *Coordinator) serveKeyed(w http.ResponseWriter, r *http.Request, path string, raw []byte, key string) {
+// serveKeyed answers one result request: its body is keyed through the
+// memo (a bad request is refused before any routing), then 503 while
+// draining, else the coordinator's tier answers, else the request is
+// forwarded verbatim to the key's ring owner and the answer remembered.
+func (c *Coordinator) serveKeyed(w http.ResponseWriter, r *http.Request, path string, kind service.Kind) {
+	c.requests.Add(1)
+	raw, err := service.ReadBody(w, r)
+	if err != nil {
+		c.coordFail(w, err)
+		return
+	}
+	key, err := c.keys.KeyBody(kind, raw)
+	if err != nil {
+		c.coordFail(w, err)
+		return
+	}
 	if c.isDraining() {
 		c.coordFail(w, fmt.Errorf("fabric: coordinator: %w", service.ErrDraining))
 		return
@@ -670,7 +663,7 @@ type GridResponse struct {
 func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 	c.requests.Add(1)
 	var req GridRequest
-	if _, err := service.ReadJSON(w, r, &req); err != nil {
+	if err := service.ReadJSON(w, r, &req); err != nil {
 		c.coordFail(w, err)
 		return
 	}
@@ -777,7 +770,7 @@ type RegisterResponse struct {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if _, err := service.ReadJSON(w, r, &req); err != nil {
+	if err := service.ReadJSON(w, r, &req); err != nil {
 		c.coordFail(w, err)
 		return
 	}

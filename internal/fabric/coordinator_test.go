@@ -480,16 +480,23 @@ func TestCoordinatorExperimentsProxy(t *testing.T) {
 }
 
 // TestCoordinatorDrain: a draining coordinator refuses result requests
-// with 503, including one its own tier could answer.
+// with 503, including one its own tier could answer and whose body its
+// key memo holds.
 func TestCoordinatorDrain(t *testing.T) {
 	c, ts := newTestCoordinator(t, testCoordOptions())
 	register(t, ts.URL, newFakeWorker(t, "w1"))
 	if resp, data := postJSON(t, ts.URL+"/v1/sweep", `{"experiment":"fig5"}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep before drain: %d %s", resp.StatusCode, data)
 	}
+	if n := c.keys.Len(); n != 1 {
+		t.Fatalf("the key memo holds %d bodies before the drain, want the sweep's", n)
+	}
 	c.BeginDrain()
 
+	// The held sweep is sent twice: its body is keyed from the memo, and
+	// the drain still refuses it.
 	for _, req := range []struct{ path, body string }{
+		{"/v1/sweep", `{"experiment":"fig5"}`},
 		{"/v1/sweep", `{"experiment":"fig5"}`},
 		{"/v1/sim", `{"config":{"preset":"base"}}`},
 		{"/v1/grid", `{"configs":[{"preset":"base"}]}`},

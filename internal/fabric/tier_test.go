@@ -276,7 +276,8 @@ func TestCoordinatorTierConcurrent(t *testing.T) {
 }
 
 // TestCoordinatorTierBound: the tier holds at most resultEntries
-// results and drops the least recently used first.
+// results and drops the least recently used first; the key memo in
+// front of it holds at most as many bodies.
 func TestCoordinatorTierBound(t *testing.T) {
 	c, ts := newTestCoordinator(t, testCoordOptions())
 	w := newFakeWorker(t, "w1")
@@ -289,6 +290,9 @@ func TestCoordinatorTierBound(t *testing.T) {
 	}
 	if st := c.results.Stats(); st.Entries != resultEntries || st.Evictions != 1 {
 		t.Fatalf("tier stats %+v after %d keys, want %d entries and 1 eviction", st, resultEntries+1, resultEntries)
+	}
+	if n := c.keys.Len(); n != resultEntries {
+		t.Fatalf("the key memo holds %d bodies after %d distinct ones, want %d", n, resultEntries+1, resultEntries)
 	}
 	before := w.hits.Load()
 	if resp, _ := postJSON(t, ts.URL+"/v1/sweep", body(0)); resp.Header.Get("X-Cache-Tier") == "coordinator" || w.hits.Load() != before+1 {

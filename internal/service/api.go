@@ -237,21 +237,15 @@ func cacheKey(kind string, normalized any) string {
 // error instead of a key, so the coordinator rejects them without
 // spending a network hop.
 func SweepKey(r SweepRequest) (string, error) {
-	r = r.normalize()
-	if err := r.validate(); err != nil {
-		return "", err
-	}
-	return cacheKey("sweep", r), nil
+	_, key, err := keyed("sweep", r)
+	return key, err
 }
 
 // SimKey returns the content address of a single-configuration run,
 // under the same contract as SweepKey.
 func SimKey(r SimRequest) (string, error) {
-	r = r.normalize()
-	if err := r.validate(); err != nil {
-		return "", err
-	}
-	return cacheKey("sim", r), nil
+	_, key, err := keyed("sim", r)
+	return key, err
 }
 
 // storeKey namespaces a cache key for the disk tier. CodeVersion is

@@ -62,3 +62,29 @@ func BenchmarkServeHit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKeyBody measures keying one /v1/sim body the size of a
+// design-sweep request. cold alternates two bodies over a one-entry
+// memo, so every call takes the strict path (decode, normalize,
+// validate, json.Marshal, SHA-256) and files its body, evicting the
+// other; memo repeats one body, which one map lookup answers.
+func BenchmarkKeyBody(b *testing.B) {
+	bodies := [][]byte{
+		[]byte(`{"config":{"preset":"base","policy":"writeonly","l2_kw":128,"l2_access":4,"split":true,"lps":"dirtybit"},"max_instructions":200000}`),
+		[]byte(`{"config":{"preset":"base","policy":"writeonly","l2_kw":128,"l2_access":4,"split":true,"lps":"dirtybit"},"max_instructions":200001}`),
+	}
+	for _, tc := range []struct {
+		name string
+		keys int
+	}{{"cold", 2}, {"memo", 1}} {
+		b.Run(tc.name, func(b *testing.B) {
+			m := NewKeyMemo(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.KeyBody(KindSim, bodies[i%tc.keys]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -5,6 +5,70 @@ import (
 	"sync"
 )
 
+// lru is the bookkeeping of a map with string keys bounded to its most
+// recently used entries, shared by Cache and KeyMemo. Its owner locks.
+type lru[V any] struct {
+	maxEntries int
+	ll         *list.List // front = most recently used
+	items      map[string]*list.Element
+	onEvict    func(V) // nil = no hook
+}
+
+type lruItem[V any] struct {
+	key string
+	val V
+}
+
+// newLRU returns an empty lru bounded to maxEntries (>= 1) that hands
+// each value it evicts to onEvict.
+func newLRU[V any](maxEntries int, onEvict func(V)) lru[V] {
+	if maxEntries < 1 {
+		maxEntries = 1
+	}
+	return lru[V]{
+		maxEntries: maxEntries,
+		ll:         list.New(),
+		items:      make(map[string]*list.Element),
+		onEvict:    onEvict,
+	}
+}
+
+// get returns the value under key and marks it most recently used.
+func (l *lru[V]) get(key string) (V, bool) { return l.use(l.items[key]) }
+
+// getBytes is get for a key held as bytes; the lookup does not copy
+// them.
+func (l *lru[V]) getBytes(key []byte) (V, bool) { return l.use(l.items[string(key)]) }
+
+func (l *lru[V]) use(el *list.Element) (v V, ok bool) {
+	if el == nil {
+		return v, false
+	}
+	l.ll.MoveToFront(el)
+	return el.Value.(*lruItem[V]).val, true
+}
+
+// add files v under key as most recently used and evicts least recently
+// used entries past the bound. If key is present it only marks it most
+// recently used, keeps the value filed first and reports false.
+func (l *lru[V]) add(key string, v V) bool {
+	if el, ok := l.items[key]; ok {
+		l.ll.MoveToFront(el)
+		return false
+	}
+	l.items[key] = l.ll.PushFront(&lruItem[V]{key: key, val: v})
+	for l.ll.Len() > l.maxEntries {
+		old := l.ll.Remove(l.ll.Back()).(*lruItem[V])
+		delete(l.items, old.key)
+		if l.onEvict != nil {
+			l.onEvict(old.val)
+		}
+	}
+	return true
+}
+
+func (l *lru[V]) len() int { return l.ll.Len() }
+
 // Cache is the content-addressed result store: key = canonical request
 // hash, value = the exact response bytes served for it, plus the origin
 // that produced them (the fabric coordinator records the worker; a
@@ -12,10 +76,8 @@ import (
 // (determinism means there is never a fresher answer), so the only
 // management policy needed is LRU bounding.
 type Cache struct {
-	mu         sync.Mutex
-	maxEntries int
-	ll         *list.List // front = most recently used
-	items      map[string]*list.Element
+	mu      sync.Mutex
+	results lru[cacheEntry]
 
 	hits      uint64
 	misses    uint64
@@ -24,21 +86,18 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key    string
 	origin string
 	body   []byte
 }
 
 // NewCache returns a cache bounded to maxEntries results (>= 1).
 func NewCache(maxEntries int) *Cache {
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
-	return &Cache{
-		maxEntries: maxEntries,
-		ll:         list.New(),
-		items:      make(map[string]*list.Element),
-	}
+	c := &Cache{}
+	c.results = newLRU(maxEntries, func(e cacheEntry) {
+		c.bytes -= int64(len(e.body))
+		c.evictions++
+	})
+	return c
 }
 
 // Get returns the stored bytes for key and the origin they were stored
@@ -49,14 +108,12 @@ func (c *Cache) Get(key string) (body []byte, origin string, ok bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.results.get(key)
 	if !ok {
 		c.misses++
 		return nil, "", false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
 	return e.body, e.origin, true
 }
 
@@ -70,23 +127,8 @@ func (c *Cache) Put(key, origin string, body []byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return
-	}
-	el := c.ll.PushFront(&cacheEntry{key: key, origin: origin, body: body})
-	c.items[key] = el
-	c.bytes += int64(len(body))
-	for c.ll.Len() > c.maxEntries {
-		oldest := c.ll.Back()
-		if oldest == nil {
-			break
-		}
-		e := oldest.Value.(*cacheEntry)
-		c.ll.Remove(oldest)
-		delete(c.items, e.key)
-		c.bytes -= int64(len(e.body))
-		c.evictions++
+	if c.results.add(key, cacheEntry{origin: origin, body: body}) {
+		c.bytes += int64(len(body))
 	}
 }
 
@@ -105,7 +147,7 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := CacheStats{
-		Entries:   c.ll.Len(),
+		Entries:   c.results.len(),
 		Bytes:     c.bytes,
 		Hits:      c.hits,
 		Misses:    c.misses,

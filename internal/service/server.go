@@ -65,6 +65,11 @@ const (
 	maxWorkers            = 1024
 	maxQueueDepth         = 1 << 20
 	maxBodyBytes          = 1 << 20
+	// smallBodyBytes bounds an ordinary request body: a valid sweep or
+	// sim request is 110-300 bytes. ReadBody sizes its buffer from a
+	// declared length only up to this, and a KeyMemo files no larger
+	// body, so a memo holds at most entries x 4 KiB of request bytes.
+	smallBodyBytes = 4 << 10
 )
 
 func (o Options) withDefaults() Options {
@@ -401,6 +406,7 @@ func (s *Server) respond(w http.ResponseWriter, start time.Time, source, tier, k
 	}
 	h.Set("X-Cache-Key", key)
 	h.Set("X-Elapsed-Us", strconv.FormatInt(elapsed.Microseconds(), 10))
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 }
 
@@ -450,21 +456,45 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	}{err.Error()})
 }
 
-// ReadJSON reads a request body of at most 1 MiB and decodes it
-// strictly (an unknown field is an error) into into. It also returns
-// the raw bytes, so a proxy forwards exactly what it validated. Every
-// failure wraps ErrBadRequest.
-func ReadJSON(w http.ResponseWriter, r *http.Request, into any) ([]byte, error) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// ReadBody reads a request body of at most 1 MiB. One declared at up
+// to smallBodyBytes is read into a buffer of exactly that size; any
+// other grows as it arrives, so a large declared length that is never
+// sent holds no memory. A failure wraps ErrBadRequest.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var raw []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= smallBodyBytes {
+		raw = make([]byte, n)
+		_, err = io.ReadFull(r.Body, raw)
+	} else {
+		raw, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading body: %w", ErrBadRequest, err)
 	}
+	return raw, nil
+}
+
+// ReadJSON reads a request body with ReadBody and decodes it strictly
+// (an unknown field is an error) into into. Every failure wraps
+// ErrBadRequest.
+func ReadJSON(w http.ResponseWriter, r *http.Request, into any) error {
+	raw, err := ReadBody(w, r)
+	if err != nil {
+		return err
+	}
+	return decodeStrict(raw, into)
+}
+
+// decodeStrict decodes the first JSON value of raw into into, refusing
+// unknown fields. A failure wraps ErrBadRequest.
+func decodeStrict(raw []byte, into any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		return nil, fmt.Errorf("%w: invalid JSON body: %w", ErrBadRequest, err)
+		return fmt.Errorf("%w: invalid JSON body: %w", ErrBadRequest, err)
 	}
-	return raw, nil
+	return nil
 }
 
 // WriteJSON writes v, indented, as a JSON body with the given status.
@@ -535,20 +565,27 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, list)
 }
 
+// readKeyed reads a result request's body and keys it on the strict
+// path, returning the normalized request and its key. On failure it
+// answers the client and returns ok false.
+func readKeyed[R request[R]](s *Server, w http.ResponseWriter, r *http.Request, tag string) (req R, key string, ok bool) {
+	raw, err := ReadBody(w, r)
+	if err == nil {
+		req, key, err = decodeKeyed[R](tag, raw)
+	}
+	if err != nil {
+		s.metrics.requests.Add(1)
+		s.fail(w, err)
+		return req, "", false
+	}
+	return req, key, true
+}
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if _, err := ReadJSON(w, r, &req); err != nil {
-		s.metrics.requests.Add(1)
-		s.fail(w, err)
+	req, key, ok := readKeyed[SweepRequest](s, w, r, "sweep")
+	if !ok {
 		return
 	}
-	req = req.normalize()
-	if err := req.validate(); err != nil {
-		s.metrics.requests.Add(1)
-		s.fail(w, err)
-		return
-	}
-	key := cacheKey("sweep", req)
 	s.serveResult(w, r, key, func() ([]byte, error) {
 		e, err := experiments.ByID(req.Experiment)
 		if err != nil {
@@ -576,19 +613,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
-	var req SimRequest
-	if _, err := ReadJSON(w, r, &req); err != nil {
-		s.metrics.requests.Add(1)
-		s.fail(w, err)
+	req, key, ok := readKeyed[SimRequest](s, w, r, "sim")
+	if !ok {
 		return
 	}
-	req = req.normalize()
-	if err := req.validate(); err != nil {
-		s.metrics.requests.Add(1)
-		s.fail(w, err)
-		return
-	}
-	key := cacheKey("sim", req)
 	s.serveResult(w, r, key, func() ([]byte, error) {
 		rep, err := s.runSim(req)
 		if err != nil {

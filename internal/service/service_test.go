@@ -491,6 +491,10 @@ func TestCacheLRUBoundAndStats(t *testing.T) {
 		t.Fatalf("a missing or origin %q, want w1", origin)
 	}
 	c.Put("c", "w2", []byte("cccccc")) // evicts b
+	c.Put("c", "w3", []byte("cccccc")) // already held: first origin kept
+	if _, origin, _ := c.Get("c"); origin != "w2" {
+		t.Fatalf("c origin %q after a second Put, want the first, w2", origin)
+	}
 	if _, _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
@@ -504,7 +508,7 @@ func TestCacheLRUBoundAndStats(t *testing.T) {
 	if st.Bytes != int64(len("aaaa")+len("cccccc")) {
 		t.Fatalf("bytes %d", st.Bytes)
 	}
-	if st.Hits != 2 || st.Misses != 1 {
+	if st.Hits != 3 || st.Misses != 1 {
 		t.Fatalf("hit/miss %+v", st)
 	}
 }
