@@ -86,7 +86,7 @@ chaos:
 # schedule and the exact run's cache state).
 sample-validate:
 	$(GO) test -run 'TestSampled|TestWarm|TestRunnerWarmMatchesSkip|TestRunnerWarmMatchesExactFingerprint|TestSkipScan' \
-		./internal/sample ./internal/core ./internal/sched ./internal/trace ./internal/report ./internal/experiments
+		./internal/sample ./internal/core ./internal/sched ./internal/trace ./internal/experiments
 
 # sweep: regenerate every table and figure, fault-tolerantly.
 sweep:

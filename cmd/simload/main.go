@@ -100,17 +100,6 @@ func parseFidelityMix(s string) ([]fidWeight, error) {
 	return mix, nil
 }
 
-// supportsFidelity reports whether experiment id can run at fidelity f.
-func supportsFidelity(id, f string) bool {
-	switch f {
-	case service.FidelityScreening:
-		return experiments.SupportsScreening(id)
-	case service.FidelitySampled:
-		return experiments.SupportsSampled(id)
-	}
-	return true
-}
-
 func run() error {
 	var (
 		addr       = flag.String("addr", "localhost:8344", "cachesimd address")
@@ -165,13 +154,11 @@ func run() error {
 	universes := map[string][][]byte{}
 	for _, fw := range mix {
 		var universe [][]byte
+		ids := experiments.ServedIDs(fw.fidelity)
 		for scale := 1; scale <= *scales; scale++ {
-			for _, e := range experiments.Registry() {
-				if !supportsFidelity(e.ID, fw.fidelity) {
-					continue
-				}
+			for _, id := range ids {
 				body, err := json.Marshal(service.SweepRequest{
-					Experiment:      e.ID,
+					Experiment:      id,
 					Scale:           scale,
 					MaxInstructions: *maxInstr,
 					Fidelity:        fw.fidelity,

@@ -1,10 +1,6 @@
 package main
 
-import (
-	"testing"
-
-	"repro/internal/service"
-)
+import "testing"
 
 func TestParseFidelityMix(t *testing.T) {
 	mix, err := parseFidelityMix("exact=0.5,screening=0.3,sampled=0.2")
@@ -46,24 +42,6 @@ func TestParseFidelityMix(t *testing.T) {
 	} {
 		if _, err := parseFidelityMix(bad); err == nil {
 			t.Errorf("parseFidelityMix(%q): want error", bad)
-		}
-	}
-}
-
-func TestSupportsFidelity(t *testing.T) {
-	cases := []struct {
-		id, f string
-		want  bool
-	}{
-		{"fig3", service.FidelityExact, true},
-		{"fastsweep", service.FidelityScreening, true},
-		{"fig2", service.FidelityScreening, false},
-		{"fig2", service.FidelitySampled, true},
-		{"fig3", service.FidelitySampled, false},
-	}
-	for _, c := range cases {
-		if got := supportsFidelity(c.id, c.f); got != c.want {
-			t.Errorf("supportsFidelity(%q, %q) = %v, want %v", c.id, c.f, got, c.want)
 		}
 	}
 }

@@ -121,7 +121,10 @@ func run() (err error) {
 	if !*sampled && (*interval != 0 || *period != 0 || *warmup != 0 || *window != 0) {
 		return fmt.Errorf("-interval/-period/-warmup/-window only apply with -sampled")
 	}
-	if *sampled {
+	switch {
+	case *onepass || *compare:
+		opt.Fidelity = experiments.FidelityScreening
+	case *sampled:
 		opt.Fidelity = experiments.FidelitySampled
 		opt.Sampling = sample.Config{
 			Interval:         *interval,
@@ -132,16 +135,10 @@ func run() (err error) {
 	}
 	if *exp == "list" {
 		for _, e := range experiments.Registry() {
-			var notes []string
-			if experiments.SupportsScreening(e.ID) {
-				notes = append(notes, "screening")
-			}
-			if experiments.SupportsSampled(e.ID) {
-				notes = append(notes, "sampled")
-			}
 			note := ""
-			if len(notes) > 0 {
-				note = "  [" + strings.Join(notes, " ") + "]"
+			// Exact serves every id; the list notes the reduced tiers.
+			if fids := e.Fidelities()[1:]; len(fids) > 0 {
+				note = "  [" + strings.Join(fids, " ") + "]"
 			}
 			fmt.Printf("%-16s %s%s\n", e.ID, e.Title, note)
 		}
@@ -159,25 +156,14 @@ func run() (err error) {
 			return nil
 		}
 	}
-	screening := *onepass || *compare
-	supports := func(id string) bool {
-		switch {
-		case screening:
-			return experiments.SupportsScreening(id)
-		case *sampled:
-			return experiments.SupportsSampled(id)
-		}
-		return true
-	}
 	var list []experiments.Experiment
 	if *exp == "all" {
+		// With a reduced fidelity, "all" means every experiment that
+		// has one; the rest have no analog under that engine.
 		for _, e := range experiments.Registry() {
-			// With a reduced fidelity, "all" means every experiment that
-			// has one; the rest have no analog under that engine.
-			if !supports(e.ID) {
-				continue
+			if e.Serves(opt.Fidelity) {
+				list = append(list, e)
 			}
-			list = append(list, e)
 		}
 	} else {
 		for _, id := range strings.Split(*exp, ",") {
@@ -185,13 +171,9 @@ func run() (err error) {
 			if err != nil {
 				return err
 			}
-			if screening && !supports(e.ID) {
-				return fmt.Errorf("experiment %q has no screening mode (screening ids: %s)",
-					e.ID, strings.Join(experiments.ScreeningIDs(), ", "))
-			}
-			if *sampled && !supports(e.ID) {
-				return fmt.Errorf("experiment %q has no sampled mode (sampled ids: %s)",
-					e.ID, strings.Join(experiments.SampledIDs(), ", "))
+			if !e.Serves(opt.Fidelity) {
+				return fmt.Errorf("experiment %q has no %s mode (%s ids: %s)", e.ID, opt.Fidelity,
+					opt.Fidelity, strings.Join(experiments.ServedIDs(opt.Fidelity), ", "))
 			}
 			list = append(list, e)
 		}
@@ -199,21 +181,17 @@ func run() (err error) {
 
 	specs := make([]harness.Spec, len(list))
 	for i, e := range list {
-		id, run := e.ID, e.Run
-		switch {
-		case *compare:
-			run = func(o experiments.Options) (string, error) { return experiments.ScreeningComparison(id, o) }
-		case *onepass:
-			run = func(o experiments.Options) (string, error) { return experiments.RunScreening(id, o) }
-		case *sampled:
-			run = func(o experiments.Options) (string, error) { return experiments.RunSampled(id, o) }
-		}
 		specs[i] = harness.Spec{
 			ID:    e.ID,
 			Title: e.Title,
 			// Experiments are compute-bound and don't poll ctx; the
 			// harness abandons an attempt that outlives its deadline.
-			Run: func(ctx context.Context) (string, error) { return run(opt) },
+			Run: func(ctx context.Context) (string, error) {
+				if *compare {
+					return e.Compare(opt), nil
+				}
+				return experiments.RunFidelity(e.ID, opt)
+			},
 		}
 	}
 

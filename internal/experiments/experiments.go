@@ -16,11 +16,14 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/sample"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/stackdist"
 	"repro/internal/workload"
 )
 
@@ -132,104 +135,244 @@ func fastL2I() core.L2Bank {
 	}
 }
 
-// Experiment is a runnable reproduction of one paper artifact.
+// Experiment is one paper artifact and every fidelity tier that serves
+// it. Run, the cycle-accurate reproduction, serves every id; each
+// reduced tier is a field group whose nil function means that tier
+// does not serve the id.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(o Options) (string, error)
+	// Run is the exact fidelity.
+	Run func(o Options) string
+
+	// Screening formats the id's tables from one-pass stack-distance
+	// passes (internal/stackdist) that analyze the given reference
+	// classes (zero: all). A served request passes Classes, the classes
+	// those tables read. Leaving the others out is exact: classes share
+	// no state, and the filter, which drives them all, runs in full
+	// whatever the set.
+	Screening func(o Options, classes stackdist.ClassSet) string
+	Classes   stackdist.ClassSet
+	// Compare runs screening and exact over the same recordings and
+	// reports the deltas (`sweep -compare`); set exactly when Screening
+	// is.
+	Compare func(o Options) string
+
+	// Sampled re-runs the exact sweeps over the kernel suite through
+	// interval sampling (internal/sample), every CPI carrying a 95%
+	// confidence interval.
+	Sampled func(o Options) string
 }
 
-// Registry lists every experiment in paper order.
-func Registry() []Experiment {
-	return []Experiment{
-		{"table1", "Table 1: benchmark characterization", func(o Options) (string, error) {
-			return Table1(o), nil
-		}},
-		{"fig2", "Fig. 2: effect of multiprogramming level", func(o Options) (string, error) {
-			return FormatFig2(Fig2(o)), nil
-		}},
-		{"fig3", "Fig. 3: effect of context-switch interval", func(o Options) (string, error) {
-			return FormatFig3(Fig3(o)), nil
-		}},
-		{"fig4", "Fig. 4: base architecture performance losses", func(o Options) (string, error) {
-			return FormatFig4(Fig4(o)), nil
-		}},
-		{"fig5", "Fig. 5: write policy vs L2 access time", func(o Options) (string, error) {
+// l2Views are the classes the Fig. 6 and Table 2 screening tables read:
+// the unified L2 and the two split banks.
+var l2Views = stackdist.ClassesOf(stackdist.ClassL2U, stackdist.ClassL2I, stackdist.ClassL2D)
+
+// registry is every experiment, in paper order. Adding or retiring a
+// fidelity tier for an id is an edit to its record.
+var registry = []Experiment{
+	{ID: "table1", Title: "Table 1: benchmark characterization", Run: Table1},
+	{
+		ID: "fig2", Title: "Fig. 2: effect of multiprogramming level",
+		Run:     func(o Options) string { return FormatFig2(Fig2(o)) },
+		Sampled: func(o Options) string { return FormatSampledFig2(SampledFig2(o)) },
+	},
+	{ID: "fig3", Title: "Fig. 3: effect of context-switch interval", Run: func(o Options) string {
+		return FormatFig3(Fig3(o))
+	}},
+	{ID: "fig4", Title: "Fig. 4: base architecture performance losses", Run: func(o Options) string {
+		return FormatFig4(Fig4(o))
+	}},
+	{
+		ID: "fig5", Title: "Fig. 5: write policy vs L2 access time",
+		Run: func(o Options) string {
 			kernel := Fig5(o)
 			calibrated := Fig5Calibrated(o)
-			out := "kernel suite:\n" + FormatFig5(kernel) +
+			return "kernel suite:\n" + FormatFig5(kernel) +
 				fmt.Sprintf("write-back first wins at access time: %d (0 = never)\n\n", Fig5Crossover(kernel)) +
 				"paper-calibrated workload (~3.5%% L1-D miss, 98%% write hits):\n" + FormatFig5(calibrated) +
 				fmt.Sprintf("write-back first wins at access time: %d (0 = never)\n", Fig5Crossover(calibrated))
-			return out, nil
-		}},
-		{"fig6", "Fig. 6: L2 sizes and organizations", func(o Options) (string, error) {
+		},
+		Sampled: func(o Options) string { return FormatSampledFig5(SampledFig5(o)) },
+	},
+	{
+		ID: "fig6", Title: "Fig. 6: L2 sizes and organizations",
+		Run: func(o Options) string {
 			return "kernel suite:\n" + FormatFig6(Fig6(o)) +
-				"\npaper-calibrated workload:\n" + FormatFig6(Fig6Calibrated(o)), nil
-		}},
-		{"table2", "Table 2: L2 miss ratios", func(o Options) (string, error) {
+				"\npaper-calibrated workload:\n" + FormatFig6(Fig6Calibrated(o))
+		},
+		Screening: func(o Options, cs stackdist.ClassSet) string {
+			return "kernel suite:\nestimated " + FormatFig6(screenSuite(o, cs).Grid) +
+				"\npaper-calibrated workload:\nestimated " + FormatFig6(screenPaper(o, cs).Grid)
+		},
+		Classes: l2Views,
+		Compare: compareGrid,
+		Sampled: func(o Options) string { return FormatSampledFig6(SampledFig6(o)) },
+	},
+	{
+		ID: "table2", Title: "Table 2: L2 miss ratios",
+		Run: func(o Options) string {
 			return "kernel suite:\n" + FormatTable2(Fig6(o)) +
-				"\npaper-calibrated workload:\n" + FormatTable2(Fig6Calibrated(o)), nil
-		}},
-		{"fig7", "Fig. 7: L2-I speed-size trade-off", func(o Options) (string, error) {
-			return FormatSpeedSize("L2-I", Fig7(o)), nil
-		}},
-		{"fig8", "Fig. 8: L2-D speed-size trade-off", func(o Options) (string, error) {
-			return FormatSpeedSize("L2-D", Fig8(o)), nil
-		}},
-		{"fig9", "Fig. 9: split L2 and fetch-size optimizations", func(o Options) (string, error) {
-			return FormatStages(Fig9(o)), nil
-		}},
-		{"fig10", "Fig. 10: memory system concurrency", func(o Options) (string, error) {
-			return "kernel suite:\n" + FormatStages(Fig10(o)) +
-				"\npaper-calibrated workload:\n" + FormatStages(Fig10Calibrated(o)), nil
-		}},
-		{"sec5", "Section 5: primary cache size vs cycle time", func(o Options) (string, error) {
-			return FormatSec5(Sec5L1Size(o)), nil
-		}},
-		{"fetchsize", "Section 8: L1 fetch/line size", func(o Options) (string, error) {
-			return "kernel suite:\n" + FormatFetch(Sec8FetchSize(o)) +
-				"\npaper-calibrated workload:\n" + FormatFetch(Sec8FetchSizeCalibrated(o)), nil
-		}},
-		{"ablate-wb", "Ablation: write buffer depth and drain overlap", func(o Options) (string, error) {
-			return FormatAblation(AblationWBDepth(o)) + "\n" + FormatAblation(AblationWBOverlap(o)), nil
-		}},
-		{"ablate-coloring", "Ablation: page-coloring policy", func(o Options) (string, error) {
-			return FormatAblation(AblationColoring(o)), nil
-		}},
-		{"ablate-tlb", "Ablation: TLB miss penalty", func(o Options) (string, error) {
-			return FormatAblation(AblationTLBPenalty(o)), nil
-		}},
-		{"summary", "Bottom line: base vs fully optimized architecture", func(o Options) (string, error) {
-			return FormatSummary(Summary(o)), nil
-		}},
-		{"perbench", "Per-benchmark profile on the base architecture", func(o Options) (string, error) {
-			return FormatPerBench(PerBench(o)), nil
-		}},
-		{"cost", "Implementation cost: tag memory and write-buffer pins", func(o Options) (string, error) {
-			return FormatCost(CostTable()), nil
-		}},
-		{"fastsweep", "One-pass screening of the L1/L2 design space", func(o Options) (string, error) {
-			// The exact fidelity of this experiment is the screening
-			// pass plus a cycle-accurate cross-check of the best grid
-			// points; the screening fidelity (RunScreening) is the pass
-			// alone.
+				"\npaper-calibrated workload:\n" + FormatTable2(Fig6Calibrated(o))
+		},
+		Screening: func(o Options, cs stackdist.ClassSet) string {
+			return "kernel suite:\n" + FormatTable2(screenSuite(o, cs).Grid) +
+				"\npaper-calibrated workload:\n" + FormatTable2(screenPaper(o, cs).Grid)
+		},
+		Classes: l2Views,
+		Compare: compareGrid,
+		Sampled: func(o Options) string { return FormatSampledTable2(SampledFig6(o)) },
+	},
+	{
+		ID: "fig7", Title: "Fig. 7: L2-I speed-size trade-off",
+		Run: func(o Options) string { return FormatSpeedSize("L2-I", Fig7(o)) },
+		Screening: func(o Options, cs stackdist.ClassSet) string {
+			return FormatSpeedSize("L2-I (screening)", screenSuite(o, cs).Fig7)
+		},
+		Classes: stackdist.ClassesOf(stackdist.ClassL2I),
+		Compare: func(o Options) string { return compareSpeedSize("L2-I", FastSweepSuite(o).Fig7, Fig7(o)) },
+	},
+	{
+		ID: "fig8", Title: "Fig. 8: L2-D speed-size trade-off",
+		Run: func(o Options) string { return FormatSpeedSize("L2-D", Fig8(o)) },
+		Screening: func(o Options, cs stackdist.ClassSet) string {
+			return FormatSpeedSize("L2-D (screening)", screenSuite(o, cs).Fig8)
+		},
+		Classes: stackdist.ClassesOf(stackdist.ClassL2D),
+		Compare: func(o Options) string { return compareSpeedSize("L2-D", FastSweepSuite(o).Fig8, Fig8(o)) },
+	},
+	{ID: "fig9", Title: "Fig. 9: split L2 and fetch-size optimizations", Run: func(o Options) string {
+		return FormatStages(Fig9(o))
+	}},
+	{ID: "fig10", Title: "Fig. 10: memory system concurrency", Run: func(o Options) string {
+		return "kernel suite:\n" + FormatStages(Fig10(o)) +
+			"\npaper-calibrated workload:\n" + FormatStages(Fig10Calibrated(o))
+	}},
+	{ID: "sec5", Title: "Section 5: primary cache size vs cycle time", Run: func(o Options) string {
+		return FormatSec5(Sec5L1Size(o))
+	}},
+	{ID: "fetchsize", Title: "Section 8: L1 fetch/line size", Run: func(o Options) string {
+		return "kernel suite:\n" + FormatFetch(Sec8FetchSize(o)) +
+			"\npaper-calibrated workload:\n" + FormatFetch(Sec8FetchSizeCalibrated(o))
+	}},
+	{ID: "ablate-wb", Title: "Ablation: write buffer depth and drain overlap", Run: func(o Options) string {
+		return FormatAblation(AblationWBDepth(o)) + "\n" + FormatAblation(AblationWBOverlap(o))
+	}},
+	{ID: "ablate-coloring", Title: "Ablation: page-coloring policy", Run: func(o Options) string {
+		return FormatAblation(AblationColoring(o))
+	}},
+	{ID: "ablate-tlb", Title: "Ablation: TLB miss penalty", Run: func(o Options) string {
+		return FormatAblation(AblationTLBPenalty(o))
+	}},
+	{ID: "summary", Title: "Bottom line: base vs fully optimized architecture", Run: func(o Options) string {
+		return FormatSummary(Summary(o))
+	}},
+	{ID: "perbench", Title: "Per-benchmark profile on the base architecture", Run: func(o Options) string {
+		return FormatPerBench(PerBench(o))
+	}},
+	{ID: "cost", Title: "Implementation cost: tag memory and write-buffer pins", Run: func(Options) string {
+		return FormatCost(CostTable())
+	}},
+	{
+		ID: "fastsweep", Title: "One-pass screening of the L1/L2 design space",
+		// The exact fidelity of this experiment is the screening pass
+		// plus a cycle-accurate cross-check of the best grid points; the
+		// screening fidelity is the pass alone, over every class.
+		Run: func(o Options) string {
 			fs := FastSweep(o)
 			return FormatFastSweep(fs) +
 				"\ncross-validation (top 3 by estimated CPI, exact simulator):\n" +
-				FormatValidation(FastSweepValidate(o, fs, 3)), nil
-		}},
-	}
+				FormatValidation(FastSweepValidate(o, fs, 3))
+		},
+		Screening: func(o Options, cs stackdist.ClassSet) string { return FormatFastSweep(screenPaper(o, cs)) },
+		Compare:   compareGrid,
+	},
 }
+
+// Registry lists every experiment in paper order.
+func Registry() []Experiment { return slices.Clone(registry) }
 
 // ByID returns the registered experiment with the given id.
 func ByID(id string) (Experiment, error) {
-	for _, e := range Registry() {
+	for _, e := range registry {
 		if e.ID == id {
 			return e, nil
 		}
 	}
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q", id)
+}
+
+// Fidelity names accepted by RunFidelity.
+const (
+	FidelityExact     = "exact"
+	FidelityScreening = "screening"
+	FidelitySampled   = "sampled"
+)
+
+// Fidelities lists every fidelity tier, cheapest-to-run last.
+func Fidelities() []string {
+	return []string{FidelityExact, FidelityScreening, FidelitySampled}
+}
+
+// tier returns what runs e at fidelity f ("" means exact), or nil when
+// f does not serve e.
+func (e Experiment) tier(f string) func(Options) string {
+	switch f {
+	case "", FidelityExact:
+		return e.Run
+	case FidelityScreening:
+		if e.Screening != nil {
+			return func(o Options) string { return e.Screening(o, e.Classes) }
+		}
+	case FidelitySampled:
+		return e.Sampled
+	}
+	return nil
+}
+
+// Serves reports whether fidelity f ("" means exact) serves e.
+func (e Experiment) Serves(f string) bool { return e.tier(f) != nil }
+
+// Fidelities lists the tiers that serve e, in Fidelities order.
+func (e Experiment) Fidelities() []string {
+	var fids []string
+	for _, f := range Fidelities() {
+		if e.Serves(f) {
+			fids = append(fids, f)
+		}
+	}
+	return fids
+}
+
+// ServedIDs lists the experiments fidelity f serves, in paper order.
+func ServedIDs(f string) []string {
+	var ids []string
+	for _, e := range registry {
+		if e.Serves(f) {
+			ids = append(ids, e.ID)
+		}
+	}
+	return ids
+}
+
+// ScreeningIDs lists the experiments the screening fidelity serves.
+func ScreeningIDs() []string { return ServedIDs(FidelityScreening) }
+
+// RunFidelity runs experiment id at o.Fidelity ("" means exact).
+func RunFidelity(id string, o Options) (string, error) {
+	e, err := ByID(id)
+	if err != nil {
+		return "", err
+	}
+	if run := e.tier(o.Fidelity); run != nil {
+		return run(o), nil
+	}
+	if !slices.Contains(Fidelities(), o.Fidelity) {
+		return "", fmt.Errorf("experiments: unknown fidelity %q (have %s)",
+			o.Fidelity, strings.Join(Fidelities(), ", "))
+	}
+	return "", fmt.Errorf("experiments: no %s mode for %q (have %s)",
+		o.Fidelity, id, strings.Join(ServedIDs(o.Fidelity), ", "))
 }
 
 // Table1 formats the workload characterization.

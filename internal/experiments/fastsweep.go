@@ -310,89 +310,13 @@ func FormatValidation(rows []ValidationRow) string {
 	return b.String()
 }
 
-// screeningIDs lists the experiments with a screening-mode
-// implementation, in registry order.
-var screeningIDs = []string{"fig6", "table2", "fig7", "fig8", "fastsweep"}
-
-// ScreeningIDs returns the experiments that support the screening
-// fidelity.
-func ScreeningIDs() []string { return append([]string(nil), screeningIDs...) }
-
-// SupportsScreening reports whether id has a screening mode.
-func SupportsScreening(id string) bool {
-	for _, s := range screeningIDs {
-		if s == id {
-			return true
-		}
-	}
-	return false
-}
-
-// RunScreening produces the screening-fidelity output for id: the same
-// tables as the exact experiment, computed from one analyzer pass per
-// workload instead of one simulation per configuration. Each pass
-// analyzes only the classes id's tables read (screeningClasses).
-func RunScreening(id string, o Options) (string, error) {
-	return screeningTables(id, o, screeningClasses(id))
-}
-
-// screeningClasses is the set of reference classes id's screening
-// tables read: Fig. 6 and Table 2 the three L2 views, Fig. 7 the
-// instruction bank, Fig. 8 the data bank. fastsweep prints every class.
-// Leaving the others out is exact: classes share no state, and the
-// filter, which drives them all, runs in full whatever the set.
-func screeningClasses(id string) stackdist.ClassSet {
-	switch id {
-	case "fig6", "table2":
-		return stackdist.ClassesOf(stackdist.ClassL2U, stackdist.ClassL2I, stackdist.ClassL2D)
-	case "fig7":
-		return stackdist.ClassesOf(stackdist.ClassL2I)
-	case "fig8":
-		return stackdist.ClassesOf(stackdist.ClassL2D)
-	}
-	return 0
-}
-
-// screeningTables formats id's screening tables from passes that
-// analyze the given classes (zero: all).
-func screeningTables(id string, o Options, classes stackdist.ClassSet) (string, error) {
-	switch id {
-	case "fig6":
-		return "kernel suite:\nestimated " + FormatFig6(screenSuite(o, classes).Grid) +
-			"\npaper-calibrated workload:\nestimated " + FormatFig6(screenPaper(o, classes).Grid), nil
-	case "table2":
-		return "kernel suite:\n" + FormatTable2(screenSuite(o, classes).Grid) +
-			"\npaper-calibrated workload:\n" + FormatTable2(screenPaper(o, classes).Grid), nil
-	case "fig7":
-		return FormatSpeedSize("L2-I (screening)", screenSuite(o, classes).Fig7), nil
-	case "fig8":
-		return FormatSpeedSize("L2-D (screening)", screenSuite(o, classes).Fig8), nil
-	case "fastsweep":
-		return FormatFastSweep(screenPaper(o, classes)), nil
-	}
-	return "", fmt.Errorf("experiments: no screening mode for %q (have %s)",
-		id, strings.Join(screeningIDs, ", "))
-}
-
-// ScreeningComparison runs both fidelities over the same recordings
-// and reports the deltas — `sweep -compare`'s engine.
-func ScreeningComparison(id string, o Options) (string, error) {
-	o = o.normalized()
-	switch id {
-	case "fig6", "table2", "fastsweep":
-		fs := FastSweep(o)
-		rows := FastSweepValidate(o, fs, len(fs.Grid))
-		return fmt.Sprintf("screening vs exact, %s (%d grid points, one pass vs one run each):\n",
-			fs.Workload, len(rows)) + FormatValidation(rows), nil
-	case "fig7":
-		fs := FastSweepSuite(o)
-		return compareSpeedSize("L2-I", fs.Fig7, Fig7(o)), nil
-	case "fig8":
-		fs := FastSweepSuite(o)
-		return compareSpeedSize("L2-D", fs.Fig8, Fig8(o)), nil
-	}
-	return "", fmt.Errorf("experiments: no screening mode for %q (have %s)",
-		id, strings.Join(screeningIDs, ", "))
+// compareGrid runs both fidelities over the paper-calibrated
+// recording's Fig. 6 grid and reports the deltas.
+func compareGrid(o Options) string {
+	fs := FastSweep(o)
+	rows := FastSweepValidate(o, fs, len(fs.Grid))
+	return fmt.Sprintf("screening vs exact, %s (%d grid points, one pass vs one run each):\n",
+		fs.Workload, len(rows)) + FormatValidation(rows)
 }
 
 // compareSpeedSize renders screening minus exact CPI contributions.

@@ -71,26 +71,29 @@ func TestFastSweepDeterministicReruns(t *testing.T) {
 }
 
 func TestRunScreeningRegistry(t *testing.T) {
+	o := screenOpt
+	o.Fidelity = FidelityScreening
 	for _, id := range ScreeningIDs() {
-		if !SupportsScreening(id) {
-			t.Errorf("ScreeningIDs lists %q but SupportsScreening denies it", id)
-		}
 		if id == "fig6" || id == "table2" {
 			continue // exercised via fastsweep/fig7/fig8; these add a suite pass each
 		}
-		out, err := RunScreening(id, screenOpt)
+		out, err := RunFidelity(id, o)
 		if err != nil || out == "" {
-			t.Errorf("RunScreening(%q): %q, %v", id, out, err)
+			t.Errorf("RunFidelity(%q, screening): %q, %v", id, out, err)
 		}
 	}
-	if SupportsScreening("fig2") {
+	fig2, err := ByID("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fig2.Serves(FidelityScreening) {
 		t.Error("fig2 has no screening mode")
 	}
-	if _, err := RunScreening("fig2", screenOpt); err == nil {
-		t.Error("RunScreening(fig2): want error")
+	if _, err := RunFidelity("fig2", o); err == nil {
+		t.Error("RunFidelity(fig2, screening): want error")
 	}
-	if _, err := ScreeningComparison("fig2", screenOpt); err == nil {
-		t.Error("ScreeningComparison(fig2): want error")
+	if fig2.Compare != nil {
+		t.Error("fig2 has no screening comparison")
 	}
 }
 
@@ -106,19 +109,21 @@ func TestRunScreeningMatchesFullPasses(t *testing.T) {
 	for i, max := range []uint64{60_000, 200_000} {
 		o := screenOpt
 		o.MaxInstructions = max
+		o.Fidelity = FidelityScreening
 		for _, id := range ScreeningIDs() {
-			full, err := screeningTables(id, o, 0)
+			e, err := ByID(id)
 			if err != nil {
-				t.Fatalf("%s full passes: %v", id, err)
+				t.Fatal(err)
 			}
-			got, err := RunScreening(id, o)
+			full := e.Screening(o, 0)
+			got, err := RunFidelity(id, o)
 			if err != nil {
-				t.Fatalf("RunScreening(%s): %v", id, err)
+				t.Fatalf("RunFidelity(%s, screening): %v", id, err)
 			}
 			if got != full {
-				t.Errorf("%s at %d instructions: RunScreening differs from full passes\ngot:\n%s\nfull:\n%s", id, max, got, full)
+				t.Errorf("%s at %d instructions: served screening differs from full passes\ngot:\n%s\nfull:\n%s", id, max, got, full)
 			}
-			set := screeningClasses(id)
+			set := e.Classes
 			if set == 0 {
 				if id != "fastsweep" {
 					t.Errorf("%s analyzes every class", id)
@@ -133,7 +138,7 @@ func TestRunScreeningMatchesFullPasses(t *testing.T) {
 				if !set.Has(c) || less == 0 {
 					continue
 				}
-				if out, _ := screeningTables(id, o, less); out == full {
+				if e.Screening(o, less) == full {
 					t.Errorf("%s: tables unchanged without class %v, which its set selects", id, c)
 				}
 			}
@@ -142,10 +147,11 @@ func TestRunScreeningMatchesFullPasses(t *testing.T) {
 }
 
 func TestScreeningComparisonReportsDeltas(t *testing.T) {
-	out, err := ScreeningComparison("fastsweep", screenOpt)
+	e, err := ByID("fastsweep")
 	if err != nil {
-		t.Fatalf("ScreeningComparison: %v", err)
+		t.Fatalf("ByID: %v", err)
 	}
+	out := e.Compare(screenOpt)
 	if !strings.Contains(out, "screening vs exact") || !strings.Contains(out, "miss err") {
 		t.Errorf("comparison output missing headers:\n%s", out)
 	}
@@ -156,10 +162,7 @@ func TestFastSweepRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ByID: %v", err)
 	}
-	out, err := e.Run(screenOpt)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	out := e.Run(screenOpt)
 	for _, want := range []string{"one-pass screening", "cross-validation", "L1-D miss ratio"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fastsweep output missing %q", want)

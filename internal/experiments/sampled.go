@@ -206,70 +206,3 @@ func formatSampledFig6Matrix(rows []SampledFig6Row, label string, metric func(Sa
 	}
 	return b.String()
 }
-
-// sampledIDs lists the experiments with a sampled-mode implementation,
-// in registry order.
-var sampledIDs = []string{"fig2", "fig5", "fig6", "table2"}
-
-// SampledIDs returns the experiments that support the sampled fidelity.
-func SampledIDs() []string { return append([]string(nil), sampledIDs...) }
-
-// SupportsSampled reports whether id has a sampled mode.
-func SupportsSampled(id string) bool {
-	for _, s := range sampledIDs {
-		if s == id {
-			return true
-		}
-	}
-	return false
-}
-
-// RunSampled produces the sampled-fidelity output for id: the same
-// sweeps as the exact experiment over the kernel suite, with every CPI
-// carrying a 95% confidence interval from interval sampling.
-func RunSampled(id string, o Options) (string, error) {
-	o = o.normalized()
-	switch id {
-	case "fig2":
-		return FormatSampledFig2(SampledFig2(o)), nil
-	case "fig5":
-		return FormatSampledFig5(SampledFig5(o)), nil
-	case "fig6":
-		return FormatSampledFig6(SampledFig6(o)), nil
-	case "table2":
-		return FormatSampledTable2(SampledFig6(o)), nil
-	}
-	return "", fmt.Errorf("experiments: no sampled mode for %q (have %s)",
-		id, strings.Join(sampledIDs, ", "))
-}
-
-// Fidelity names accepted by RunFidelity.
-const (
-	FidelityExact     = "exact"
-	FidelityScreening = "screening"
-	FidelitySampled   = "sampled"
-)
-
-// Fidelities lists every fidelity tier, cheapest-to-run last.
-func Fidelities() []string {
-	return []string{FidelityExact, FidelityScreening, FidelitySampled}
-}
-
-// RunFidelity runs experiment id at o.Fidelity ("" means exact),
-// dispatching to the exact registry entry, RunScreening, or RunSampled.
-func RunFidelity(id string, o Options) (string, error) {
-	switch o.Fidelity {
-	case "", FidelityExact:
-		e, err := ByID(id)
-		if err != nil {
-			return "", err
-		}
-		return e.Run(o)
-	case FidelityScreening:
-		return RunScreening(id, o)
-	case FidelitySampled:
-		return RunSampled(id, o)
-	}
-	return "", fmt.Errorf("experiments: unknown fidelity %q (have %s)",
-		o.Fidelity, strings.Join(Fidelities(), ", "))
-}

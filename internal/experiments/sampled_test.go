@@ -48,34 +48,39 @@ func TestSampledFig2HasIntervals(t *testing.T) {
 }
 
 func TestRunSampledRegistry(t *testing.T) {
-	for _, id := range SampledIDs() {
-		if !SupportsSampled(id) {
-			t.Errorf("SampledIDs lists %q but SupportsSampled denies it", id)
-		}
+	for _, id := range ServedIDs(FidelitySampled) {
 		if _, err := ByID(id); err != nil {
 			t.Errorf("sampled id %q not in the exact registry: %v", id, err)
 		}
 	}
 	// fig2 covers the run path; fig5/fig6/table2 share runSampled and
 	// would add dozens of configuration passes each.
-	out, err := RunSampled("fig2", sampledOpt)
+	o := sampledOpt
+	o.Fidelity = FidelitySampled
+	out, err := RunFidelity("fig2", o)
 	if err != nil || out == "" {
-		t.Errorf("RunSampled(fig2): %q, %v", out, err)
+		t.Errorf("RunFidelity(fig2, sampled): %q, %v", out, err)
 	}
-	if SupportsSampled("fig3") {
+	fig3, err := ByID("fig3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fig3.Serves(FidelitySampled) {
 		t.Error("fig3 has no sampled mode")
 	}
-	if _, err := RunSampled("fig3", sampledOpt); err == nil {
-		t.Error("RunSampled(fig3): want error")
+	if _, err := RunFidelity("fig3", o); err == nil {
+		t.Error("RunFidelity(fig3, sampled): want error")
 	}
 }
 
 func TestRunSampledDeterministic(t *testing.T) {
-	a, err := RunSampled("fig2", sampledOpt)
+	o := sampledOpt
+	o.Fidelity = FidelitySampled
+	a, err := RunFidelity("fig2", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSampled("fig2", sampledOpt)
+	b, err := RunFidelity("fig2", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,5 +118,42 @@ func TestRunFidelityDispatch(t *testing.T) {
 	got := Fidelities()
 	if len(got) != 3 || got[0] != FidelityExact {
 		t.Errorf("Fidelities() = %v", got)
+	}
+}
+
+func TestServes(t *testing.T) {
+	cases := []struct {
+		id, f string
+		want  bool
+	}{
+		{"fig3", FidelityExact, true},
+		{"fig3", "", true},
+		{"fastsweep", FidelityScreening, true},
+		{"fig2", FidelityScreening, false},
+		{"fig2", FidelitySampled, true},
+		{"fig3", FidelitySampled, false},
+		{"fig3", "bogus", false},
+	}
+	for _, c := range cases {
+		e, err := ByID(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Serves(c.f); got != c.want {
+			t.Errorf("%s.Serves(%q) = %v, want %v", c.id, c.f, got, c.want)
+		}
+	}
+	e, err := ByID("table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(e.Fidelities(), " "); got != "exact screening sampled" {
+		t.Errorf("table2 fidelities %q", got)
+	}
+	if got := strings.Join(ScreeningIDs(), " "); got != "fig6 table2 fig7 fig8 fastsweep" {
+		t.Errorf("ScreeningIDs() = %q", got)
+	}
+	if got := strings.Join(ServedIDs(FidelitySampled), " "); got != "fig2 fig5 fig6 table2" {
+		t.Errorf("ServedIDs(sampled) = %q", got)
 	}
 }

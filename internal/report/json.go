@@ -26,10 +26,6 @@ type Report struct {
 	MissRatios   MissRatios `json:"miss_ratios"`
 	Counters     core.Stats `json:"counters"`
 	Sched        SchedStats `json:"sched"`
-	// Sampled is present only on sampled-fidelity runs (NewSampled): the
-	// sampling regime and per-statistic confidence intervals. Exact runs
-	// omit it, keeping their JSON byte-identical to prior releases.
-	Sampled *SampledStats `json:"sampled,omitempty"`
 }
 
 // CauseCPI is one bar segment of the Fig. 4 CPI stack.

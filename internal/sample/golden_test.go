@@ -69,9 +69,9 @@ func TestSampledGolden(t *testing.T) {
 		}
 		fmt.Fprintf(h, "%s\n%+v\n", tc.name, res)
 	}
-	o := experiments.Options{MaxInstructions: goldenMax, Sampling: goldenSampling}
-	for _, id := range experiments.SampledIDs() {
-		out, err := experiments.RunSampled(id, o)
+	o := experiments.Options{MaxInstructions: goldenMax, Sampling: goldenSampling, Fidelity: experiments.FidelitySampled}
+	for _, id := range experiments.ServedIDs(experiments.FidelitySampled) {
+		out, err := experiments.RunFidelity(id, o)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

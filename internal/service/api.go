@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
@@ -114,7 +115,8 @@ func (r SweepRequest) validate() error {
 	if r.Experiment == "" {
 		return fmt.Errorf("%w: missing experiment id", ErrBadRequest)
 	}
-	if _, err := experiments.ByID(r.Experiment); err != nil {
+	e, err := experiments.ByID(r.Experiment)
+	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	if r.Scale < 1 || r.Scale > MaxScale {
@@ -123,21 +125,13 @@ func (r SweepRequest) validate() error {
 	if r.Level < 1 || r.Level > MaxLevel {
 		return fmt.Errorf("%w: level %d out of range [1,%d]", ErrBadRequest, r.Level, MaxLevel)
 	}
-	switch r.Fidelity {
-	case FidelityExact:
-	case FidelityScreening:
-		if !experiments.SupportsScreening(r.Experiment) {
-			return fmt.Errorf("%w: experiment %q has no screening mode (screening ids: %s)",
-				ErrBadRequest, r.Experiment, strings.Join(experiments.ScreeningIDs(), ", "))
-		}
-	case FidelitySampled:
-		if !experiments.SupportsSampled(r.Experiment) {
-			return fmt.Errorf("%w: experiment %q has no sampled mode (sampled ids: %s)",
-				ErrBadRequest, r.Experiment, strings.Join(experiments.SampledIDs(), ", "))
-		}
-	default:
+	if !slices.Contains(experiments.Fidelities(), r.Fidelity) {
 		return fmt.Errorf("%w: fidelity %q must be one of %s",
 			ErrBadRequest, r.Fidelity, strings.Join(experiments.Fidelities(), ", "))
+	}
+	if !e.Serves(r.Fidelity) {
+		return fmt.Errorf("%w: experiment %q has no %s mode (%s ids: %s)", ErrBadRequest,
+			r.Experiment, r.Fidelity, r.Fidelity, strings.Join(experiments.ServedIDs(r.Fidelity), ", "))
 	}
 	return nil
 }

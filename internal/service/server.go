@@ -245,9 +245,6 @@ func (s *Server) isDraining() bool {
 // --- default runners -------------------------------------------------
 
 func (s *Server) defaultRunSweep(req SweepRequest) (string, error) {
-	if _, err := experiments.ByID(req.Experiment); err != nil {
-		return "", fmt.Errorf("%w: %w", ErrBadRequest, err)
-	}
 	opts := experiments.Options{
 		Scale:           req.Scale,
 		Level:           req.Level,
@@ -545,22 +542,13 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		ID    string `json:"id"`
 		Title string `json:"title"`
 		// Fidelities lists every engine that can run this experiment
-		// ("exact" always, plus "screening" and/or "sampled"). The old
-		// boolean `screening` field (deprecated in the previous release
-		// in favor of this list) is gone.
+		// ("exact" always, plus "screening" and/or "sampled").
 		Fidelities []string `json:"fidelities"`
 	}
 	reg := experiments.Registry()
 	list := make([]entry, 0, len(reg))
 	for _, e := range reg {
-		fids := []string{FidelityExact}
-		if experiments.SupportsScreening(e.ID) {
-			fids = append(fids, FidelityScreening)
-		}
-		if experiments.SupportsSampled(e.ID) {
-			fids = append(fids, FidelitySampled)
-		}
-		list = append(list, entry{e.ID, e.Title, fids})
+		list = append(list, entry{e.ID, e.Title, e.Fidelities()})
 	}
 	WriteJSON(w, http.StatusOK, list)
 }

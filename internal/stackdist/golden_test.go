@@ -53,9 +53,9 @@ func TestScreeningGolden(t *testing.T) {
 			}
 		}
 	}
-	o := experiments.Options{MaxInstructions: goldenMax}
+	o := experiments.Options{MaxInstructions: goldenMax, Fidelity: experiments.FidelityScreening}
 	for _, id := range experiments.ScreeningIDs() {
-		out, err := experiments.RunScreening(id, o)
+		out, err := experiments.RunFidelity(id, o)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
