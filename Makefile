@@ -45,8 +45,9 @@ lint:
 # (root ./... skips it, so an API change it depends on would otherwise
 # go unnoticed), and short fuzz smokes over the trace-file reader, the
 # packed trace format, screening against the exact simulator, the
-# scheduler against its per-event reference, and the request-key memo
-# against the strict keying path.
+# scheduler against its per-event reference, the request-key memo
+# against the strict keying path, and functional warming against the
+# exact simulator's cache state.
 #
 # -timeout 20m: go test's default per-package limit, 10 minutes, is too
 # short under -race, where internal/experiments alone took 559-699 s on
@@ -64,9 +65,12 @@ verify: lint
 	$(GO) test -run=^$$ -fuzz=FuzzScreeningMatchesExact -fuzztime=10s ./internal/stackdist
 	$(GO) test -run=^$$ -fuzz=FuzzRunMatchesReference -fuzztime=10s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzKeyBodyMatchesDirect -fuzztime=10s ./internal/service
+	$(GO) test -run=^$$ -fuzz=FuzzWarmMatchesExact -fuzztime=10s ./internal/core
 
+# fuzz: longer runs of the tape reader and of warming against exact.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=5m ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzWarmMatchesExact -fuzztime=5m ./internal/core
 
 # chaos: the fault-injection and durability suite under the race
 # detector — torn-write/corruption recovery in the store, the

@@ -157,12 +157,18 @@ func run() error {
 		ids := experiments.ServedIDs(fw.fidelity)
 		for scale := 1; scale <= *scales; scale++ {
 			for _, id := range ids {
-				body, err := json.Marshal(service.SweepRequest{
+				req := service.SweepRequest{
 					Experiment:      id,
 					Scale:           scale,
 					MaxInstructions: *maxInstr,
 					Fidelity:        fw.fidelity,
-				})
+				}
+				// Refuse up front what the daemon would refuse every
+				// time, such as a sampled cap too short for a CI.
+				if _, err := service.SweepKey(req); err != nil {
+					return err
+				}
+				body, err := json.Marshal(req)
 				if err != nil {
 					return fmt.Errorf("marshal request: %w", err)
 				}

@@ -132,6 +132,9 @@ func run() (err error) {
 			Warmup:           *warmup,
 			FunctionalWindow: *window,
 		}
+		if err := opt.Sampling.CheckCap(*maxInstr); err != nil {
+			return fmt.Errorf("-max: %w", err)
+		}
 	}
 	if *exp == "list" {
 		for _, e := range experiments.Registry() {

@@ -75,6 +75,9 @@ func TestListNotesReducedTiers(t *testing.T) {
 
 // TestRefusalsNameServedIDs pins the refusal of an id a reduced tier
 // does not serve: exit 1, nothing run, and the ids that tier does serve.
+// A sampled -max below two sampling periods, the default or -period, is
+// refused the same way, naming the minimum: fewer than two intervals
+// give no confidence interval.
 func TestRefusalsNameServedIDs(t *testing.T) {
 	for _, c := range []struct {
 		args   []string
@@ -82,6 +85,8 @@ func TestRefusalsNameServedIDs(t *testing.T) {
 	}{
 		{[]string{"-onepass", "-exp", "fig2"}, "onepass_fig2.stderr.golden"},
 		{[]string{"-sampled", "-exp", "fig3"}, "sampled_fig3.stderr.golden"},
+		{[]string{"-sampled", "-exp", "fig2", "-max", "200000"}, "sampled_fig2_max.stderr.golden"},
+		{[]string{"-sampled", "-period", "100000", "-exp", "fig2", "-max", "150000"}, "sampled_fig2_period.stderr.golden"},
 	} {
 		out, errOut, code := runSweep(t, c.args...)
 		if code != 1 || out != "" {

@@ -19,8 +19,8 @@ const (
 )
 
 // cache is a set-associative cache array with per-line flags and
-// subblock valid masks. It is a mechanism only; the write-policy and
-// timing decisions live in System.
+// subblock valid masks. It is a mechanism only: the write-policy
+// transitions live on l1Pair (warm.go), the timing in System.
 type cache struct {
 	geom     CacheGeom
 	sets     uint64
@@ -118,9 +118,18 @@ func (c *cache) wordOf(addr uint64) uint {
 	return uint(addr>>2) & uint(c.geom.LineWords-1)
 }
 
-// find returns the way holding line, or -1. This is the hottest
-// function in a simulation (every fetch, load, and store probes at
-// least one cache), so the set arithmetic is hoisted into precomputed
+// validated returns the word-valid bit a subblock store of size bytes at
+// addr sets: its word's for a full-word write, none for a partial one.
+func (c *cache) validated(addr uint64, size uint8) uint32 {
+	if size < trace.WordBytes || addr&3 != 0 {
+		return 0
+	}
+	return 1 << c.wordOf(addr)
+}
+
+// find returns the way holding line, or -1. It and probe are the
+// hottest functions in a simulation (every fetch, load, and store probes
+// at least one cache), so the set arithmetic is hoisted into precomputed
 // fields and the way scan runs over a subslice, which lets the compiler
 // prove the indexing in-bounds once instead of per way.
 func (c *cache) find(line uint64) int {
@@ -133,6 +142,30 @@ func (c *cache) find(line uint64) int {
 	}
 	for w, tag := range c.tags[base : base+c.ways] {
 		if tag == line {
+			return base + w
+		}
+	}
+	return -1
+}
+
+// probe is find and, on a hit, touch in one pass over the set, small
+// enough to inline into the hit paths (find then touch is not): it
+// returns the slot holding line, now most recently used, or -1. It is
+// the whole read probe of a cache whose resident lines are all valid
+// (L1-I and the L2 banks, which only fills install), and a store's
+// lookup (every resident L1-D line takes writes; see l1Pair.writeHit).
+func (c *cache) probe(line uint64) int {
+	set := int(line & c.setMask)
+	if c.ways == 1 {
+		if c.tags[set] == line {
+			return set
+		}
+		return -1
+	}
+	base := set * c.ways
+	for w, tag := range c.tags[base : base+c.ways] {
+		if tag == line {
+			c.lruWay[set] = uint8(w)
 			return base + w
 		}
 	}
@@ -195,21 +228,12 @@ func (c *cache) insert(line uint64, flags uint8, mask uint32) evicted {
 	return ev
 }
 
-// invalidate drops line if present.
-func (c *cache) invalidate(line uint64) {
-	if slot := c.find(line); slot >= 0 {
-		c.tags[slot] = tagInvalid
-		c.flags[slot] = 0
-		c.masks[slot] = 0
-	}
-}
-
-// flush invalidates every line.
-func (c *cache) flush() {
-	for i := range c.tags {
-		c.tags[i] = tagInvalid
-		c.flags[i] = 0
-		c.masks[i] = 0
+// fill installs the lines of the fetch block at block, fetchBytes long,
+// valid and clean with every word valid, each most recently used in its
+// set: the block fill of every L1 refill.
+func (c *cache) fill(block, fetchBytes uint64) {
+	for off := uint64(0); off < fetchBytes; off += 1 << c.offBits {
+		c.insert(c.lineAddr(block+off), flagValid, c.fullMask)
 	}
 }
 

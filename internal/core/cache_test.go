@@ -85,30 +85,6 @@ func TestCacheDirtyEvictionReported(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := newCache(testGeom())
-	a := c.lineAddr(0x40)
-	c.insert(a, flagValid, 0)
-	c.invalidate(a)
-	if c.find(a) >= 0 {
-		t.Fatal("line survived invalidate")
-	}
-	c.invalidate(a) // idempotent on absent lines
-}
-
-func TestCacheFlush(t *testing.T) {
-	c := newCache(testGeom())
-	for i := uint64(0); i < 16; i++ {
-		c.insert(c.lineAddr(i*16), flagValid, 0)
-	}
-	c.flush()
-	for i := uint64(0); i < 16; i++ {
-		if c.find(c.lineAddr(i*16)) >= 0 {
-			t.Fatalf("line %d survived flush", i)
-		}
-	}
-}
-
 func TestCacheWordOf(t *testing.T) {
 	c := newCache(testGeom()) // 4 W lines
 	tests := []struct {

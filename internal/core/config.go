@@ -344,6 +344,3 @@ func (c *Config) l1dFetch() int {
 	}
 	return c.L1DFetch
 }
-
-// writeThrough reports whether the policy sends every store to L2.
-func (c *Config) writeThrough() bool { return c.WritePolicy != WriteBack }

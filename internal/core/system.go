@@ -5,12 +5,6 @@ import (
 	"repro/internal/trace"
 )
 
-// l2bank couples a secondary-cache array with its timing.
-type l2bank struct {
-	c      *cache
-	timing BankTiming
-}
-
 // System is one simulated memory hierarchy: split L1, write buffer,
 // unified or split L2, main memory, and the MMU. Feed it scheduled trace
 // events with Step; read results from Stats.
@@ -19,7 +13,7 @@ type l2bank struct {
 // issue cycle plus attributed stall cycles; the write buffer drains
 // against the same clock in the background.
 type System struct {
-	l1Pair // the MMU, the caches, and the untimed model over them (warm.go)
+	l1Pair // the MMU, the caches, and their state transitions (warm.go)
 	cfg    Config
 	wb     *writeBuffer
 
@@ -310,9 +304,7 @@ func (s *System) fetchInstruction(pid mmu.PID, vaddr uint32) bool {
 		s.stallFor(CauseTLB, uint64(s.cfg.TLBMissPenalty))
 	}
 	s.stats.L1IAccesses++
-	line := s.l1i.lineAddr(paddr)
-	if slot := s.l1i.find(line); slot >= 0 && s.l1i.flags[slot]&flagValid != 0 {
-		s.l1i.touch(slot)
+	if s.l1i.probe(s.l1i.lineAddr(paddr)) >= 0 {
 		return true
 	}
 	s.stats.L1IMisses++
@@ -335,42 +327,26 @@ func (s *System) refill(l1 *cache, bank *l2bank, paddr, fetchBytes uint64, instr
 
 	// Evictions are handled before the L2 read so that any flush the
 	// replacement triggers lands its writes in L2 first.
-	lineBytes := uint64(l1.geom.LineWords * trace.WordBytes)
-	for off := uint64(0); off < fetchBytes; off += lineBytes {
-		s.evictFor(l1, l1.lineAddr(block+off), instrSide)
+	if !instrSide {
+		var buf [8]victim
+		for _, v := range s.victims(block, buf[:0]) {
+			s.evictFor(v)
+		}
 	}
 
 	refillCycles, memCycles := s.l2Read(bank, block, int(fetchBytes)/trace.WordBytes, instrSide)
 	s.stallFor(missCause, refillCycles)
 	s.stallFor(memCause, memCycles)
-
-	for off := uint64(0); off < fetchBytes; off += lineBytes {
-		l1.insert(l1.lineAddr(block+off), flagValid, l1.fullMask)
-	}
+	l1.fill(block, fetchBytes)
 }
 
-// evictFor prepares to displace whatever occupies line's victim slot in
-// l1: write-back dirty victims enter the write buffer; under the
-// dirty-bit loads-pass-stores scheme, replacing a dirty line flushes the
-// write buffer to keep L2-D consistent without associative matching.
-func (s *System) evictFor(l1 *cache, line uint64, instrSide bool) {
-	if instrSide {
-		return // instruction lines are never dirty
-	}
-	slot := l1.find(line)
-	if slot < 0 {
-		slot = l1.victimSlot(line)
-	}
-	if l1.tags[slot] == tagInvalid || l1.flags[slot]&flagDirty == 0 {
-		return
-	}
-	victimLine := l1.tags[slot]
-	if s.cfg.WritePolicy == WriteBack {
-		lineBytes := uint64(l1.geom.LineWords * trace.WordBytes)
-		s.enqueueWrite(victimLine<<l1.offBits, lineBytes)
-		// The line has been handed to the buffer; clear dirtiness so a
-		// repeated eviction pass cannot double-write it.
-		l1.flags[slot] &^= flagDirty
+// evictFor does the timed work of displacing a dirty L1-D line: a
+// write-back victim enters the write buffer; under the dirty-bit
+// loads-pass-stores scheme, replacing a dirty line flushes the write
+// buffer to keep L2-D consistent without associative matching.
+func (s *System) evictFor(v victim) {
+	if !s.writeThrough {
+		s.enqueueWrite(v.line<<s.l1d.offBits, 1<<s.l1d.offBits)
 		return
 	}
 	if s.cfg.LoadsPassStores == LPSDirtyBit {
@@ -381,12 +357,11 @@ func (s *System) evictFor(l1 *cache, line uint64, instrSide bool) {
 		// write-only line being read) must see its writes in L2 first,
 		// so it waits for the whole drain now.
 		s.stats.WBFlushes++
-		if l1.tags[slot] == line {
+		if v.self {
 			s.waitWBEmpty()
 		} else {
 			s.flushBarrier = s.wb.emptyCompletion(s.now)
 		}
-		l1.flags[slot] &^= flagDirty
 	}
 }
 
@@ -422,21 +397,14 @@ func (s *System) load(pid mmu.PID, vaddr uint32) {
 		s.stallFor(CauseTLB, uint64(s.cfg.TLBMissPenalty))
 	}
 	s.stats.L1DReads++
-	line := s.l1d.lineAddr(paddr)
-	if slot := s.l1d.find(line); slot >= 0 {
-		f := s.l1d.flags[slot]
-		switch {
-		case f&flagWriteOnly != 0:
-			// Write-only lines service writes, not reads: miss and
-			// reallocate (Section 6).
-			s.stats.WriteOnlyReadMisses++
-		case s.cfg.WritePolicy == Subblock && s.l1d.masks[slot]&(1<<s.l1d.wordOf(paddr)) == 0:
-			// Tag matches but this word was never validated.
-			s.stats.SubblockWordMisses++
-		case f&flagValid != 0:
-			s.l1d.touch(slot)
-			return
-		}
+	switch s.readMiss(s.l1d.find(s.l1d.lineAddr(paddr)), paddr) {
+	case NoMiss:
+		return
+	case WriteOnlyMiss:
+		s.stats.WriteOnlyReadMisses++
+	case WordMiss:
+		s.stats.SubblockWordMisses++
+	case LineMiss:
 	}
 	s.stats.L1DReadMisses++
 	s.beforeDataMissFetch(paddr)
@@ -472,82 +440,32 @@ func (s *System) store(pid mmu.PID, vaddr uint32, size uint8) {
 		s.stallFor(CauseTLB, uint64(s.cfg.TLBMissPenalty))
 	}
 	s.stats.L1DWrites++
-	if s.cfg.writeThrough() {
+	if s.writeThrough {
 		s.enqueueWrite(paddr&^3, uint64(trace.WordBytes)) // one word-wide entry
 	}
 	line := s.l1d.lineAddr(paddr)
-	slot := s.l1d.find(line)
-
-	switch s.cfg.WritePolicy {
-	case WriteBack:
-		if slot >= 0 && s.l1d.flags[slot]&flagValid != 0 {
-			// Two-cycle write hit: tag check before commit.
+	if s.writeHit(s.l1d.probe(line), paddr, size) {
+		if !s.writeThrough {
+			// Two-cycle write-back hit: tag check before commit. A
+			// write-through hit writes while the tag checks.
 			s.stallFor(CauseL1Write, 1)
-			s.l1d.flags[slot] |= flagDirty
-			s.l1d.touch(slot)
-			return
 		}
-		// One-cycle write miss, then write-allocate.
-		s.stats.L1DWriteMisses++
+		return
+	}
+	s.stats.L1DWriteMisses++
+	if s.writeThrough {
+		// The write corrupted whatever the index selected; a second
+		// cycle invalidates it or installs the new tag.
+		s.stallFor(CauseL1Write, 1)
+	}
+	// A write-back miss takes one cycle, then write-allocates: the
+	// refill waits for the buffer to empty, as every miss does.
+	ev := s.writeMiss(line, paddr, size, func() {
 		s.waitWBEmpty()
 		s.refill(s.l1d, s.l2d, paddr, s.l1dFetchBytes, false)
-		if slot = s.l1d.find(line); slot >= 0 {
-			s.l1d.flags[slot] |= flagDirty
-		}
-
-	case WriteMissInvalidate:
-		if slot >= 0 && s.l1d.flags[slot]&flagValid != 0 {
-			// One-cycle write hit: data written while the tag checks.
-			s.l1d.touch(slot)
-			return
-		}
-		// The write corrupted whatever the index selected; spend a
-		// second cycle invalidating it.
-		s.stats.L1DWriteMisses++
-		s.stallFor(CauseL1Write, 1)
-		victim := s.l1d.victimSlot(line)
-		if s.l1d.tags[victim] != tagInvalid {
-			s.l1d.tags[victim] = tagInvalid
-			s.l1d.flags[victim] = 0
-			s.l1d.masks[victim] = 0
-		}
-
-	case WriteOnly:
-		if slot >= 0 && s.l1d.flags[slot]&(flagValid|flagWriteOnly) != 0 {
-			// One cycle; the line accumulates the dirty bit used by the
-			// flush-on-replacement scheme.
-			s.l1d.flags[slot] |= flagDirty
-			s.l1d.touch(slot)
-			return
-		}
-		// Write miss: second cycle updates the tag and marks the line
-		// write-only so subsequent writes hit.
-		s.stats.L1DWriteMisses++
-		s.stallFor(CauseL1Write, 1)
-		s.evictFor(s.l1d, line, false)
-		s.l1d.insert(line, flagWriteOnly|flagDirty, 0)
-
-	case Subblock:
-		fullWord := size >= trace.WordBytes && paddr&3 == 0
-		if slot >= 0 && s.l1d.flags[slot]&flagValid != 0 {
-			// One-cycle write; full-word writes validate their word.
-			if fullWord {
-				s.l1d.masks[slot] |= 1 << s.l1d.wordOf(paddr)
-			}
-			s.l1d.flags[slot] |= flagDirty
-			s.l1d.touch(slot)
-			return
-		}
-		// Write miss: second cycle installs the tag; only a full-word
-		// write validates its word, partial writes validate nothing.
-		s.stats.L1DWriteMisses++
-		s.stallFor(CauseL1Write, 1)
-		s.evictFor(s.l1d, line, false)
-		var mask uint32
-		if fullWord {
-			mask = 1 << s.l1d.wordOf(paddr)
-		}
-		s.l1d.insert(line, flagValid|flagDirty, mask)
+	})
+	if ev.dirty {
+		s.evictFor(victim{line: ev.line})
 	}
 }
 
@@ -560,9 +478,8 @@ func (s *System) l2Read(bank *l2bank, block uint64, words int, instrSide bool) (
 		s.stats.L2DAccesses++
 	}
 	refill = uint64(bank.timing.RefillCycles(words))
-	line := bank.c.lineAddr(block)
-	if slot := bank.c.find(line); slot >= 0 && bank.c.flags[slot]&flagValid != 0 {
-		bank.c.touch(slot)
+	hit, ev := bank.access(block, false)
+	if hit {
 		return refill, 0
 	}
 	if instrSide {
@@ -570,45 +487,35 @@ func (s *System) l2Read(bank *l2bank, block uint64, words int, instrSide bool) (
 	} else {
 		s.stats.L2DMisses++
 	}
-	mem = s.memoryFetch(bank, line, s.now+refill, false)
-	return refill, mem
+	return refill, s.memoryFetch(ev, s.now+refill)
 }
 
 // wbService drains one write-buffer entry into L2-D beginning at cycle
 // start and returns the cycles the drain occupies.
 func (s *System) wbService(addr uint64, words int, start uint64) uint64 {
-	bank := s.l2d
 	s.stats.L2DAccesses++
-	cycles := uint64(bank.timing.AccessTime())
-	line := bank.c.lineAddr(addr)
-	if slot := bank.c.find(line); slot >= 0 && bank.c.flags[slot]&flagValid != 0 {
-		bank.c.flags[slot] |= flagDirty
-		bank.c.touch(slot)
-		return cycles
+	cycles := uint64(s.l2d.timing.AccessTime())
+	if hit, ev := s.l2d.access(addr, true); !hit {
+		// Write-allocate: the line must be fetched from memory before
+		// the (partial) write can be merged.
+		s.stats.L2DMisses++
+		cycles += s.memoryFetch(ev, start+cycles)
 	}
-	// Write-allocate: the line must be fetched from memory before the
-	// (partial) write can be merged.
-	s.stats.L2DMisses++
-	cycles += s.memoryFetch(bank, line, start+cycles, true)
 	return cycles
 }
 
-// memoryFetch installs line into bank from main memory at cycle start
-// and returns the penalty cycles, accounting for a dirty victim (written
-// back inline, or via the dirty buffer when configured) and for the
-// memory bus still being busy with a previous dirty-buffer write-back.
-func (s *System) memoryFetch(bank *l2bank, line uint64, start uint64, markDirty bool) uint64 {
+// memoryFetch returns the penalty cycles of an L2 miss whose line comes
+// from main memory at cycle start, having displaced ev from L2,
+// accounting for a dirty victim (written back inline, or via the dirty
+// buffer when configured) and for the memory bus still being busy with a
+// previous dirty-buffer write-back.
+func (s *System) memoryFetch(ev evicted, start uint64) uint64 {
 	var wait uint64
 	if s.memBusyUntil > start {
 		wait = s.memBusyUntil - start
 	}
-	flags := flagValid
-	if markDirty {
-		flags |= flagDirty
-	}
-	ev := bank.c.insert(line, flags, bank.c.fullMask)
 	penalty := uint64(s.cfg.MemCleanPenalty)
-	if ev.valid && ev.dirty {
+	if ev.dirty {
 		s.stats.L2DDirtyMisses++
 		if s.cfg.L2DirtyBuffer {
 			// Read the requested line first; the dirty line drains from

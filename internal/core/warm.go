@@ -7,34 +7,63 @@ import (
 	"repro/internal/trace"
 )
 
-// Functional warming, and the one untimed model of the L1 pair.
+// The one model of cache state, and functional warming.
 //
-// l1Pair's warm helpers are the L1 write-policy state machine (fetch,
-// load, store and refill across the four write policies) with the
-// timing stripped out: no clock, no stall attribution, no Stats
-// counters, no write-buffer timing. Tags, flags, subblock masks and
-// replacement state move as in the exact engine's fetchInstruction,
-// load, store, refill and evictFor; TestWarmMatchesExactFinalState and
-// internal/stackdist's FuzzScreeningMatchesExact hold them to it. Two
-// callers drive the model:
+// Every cache-state transition has one definition here, on l1Pair, or
+// on cache and l2bank below it: the L1-I fetch probe (cache.probe), the
+// L1-D read-hit test (readMiss), each write policy's write-hit and
+// write-miss update (writeHit, writeMiss), a data refill's victim
+// selection with its dirty-bit clear (victims), the block fill
+// (cache.fill) and the L2 read and write probes (l2bank.access). Tags,
+// flags, subblock masks and replacement state move only through them.
+// Three callers drive the transitions:
 //
-//   - System's functional warming (WarmScan), the
-//     fast-forward mode of sampled simulation, whose L2 side is its
-//     real L2 banks;
-//   - Filter, the one-pass analyzer's L1 (internal/stackdist), whose
-//     L2 side is an L2Observer that turns the L2 reference stream into
-//     stack-distance histograms.
+//   - the cycle-accurate engine (System's fetchInstruction, load, store
+//     and refill), which adds the timing: stalls, Stats counters, the
+//     write buffer, the loads-pass-stores schemes and the flush barrier;
+//   - functional warming (WarmScan), the fast-forward mode of sampled
+//     simulation, through the warm helpers below, with no clock and no
+//     Stats, whose L2 side is the system's real L2 banks;
+//   - Filter, the one-pass analyzer's L1 (internal/stackdist), through
+//     the same warm helpers, whose L2 side is an L2Observer that turns
+//     the L2 reference stream into stack-distance histograms.
 //
-// One ordering rule is inherited from the write buffer: a write-back
-// victim's L2 probe happens in FIFO order *after* the refill read that
-// displaced it (the exact engine enqueues the victim, reads L2, and
-// drains the buffer afterwards). warmRefill therefore collects victims
-// first but applies their L2 writes after the read. Write-through
+// What the warm helpers keep of their own is the L2 order, inherited
+// from the write buffer: a write-back victim's L2 probe happens in FIFO
+// order *after* the refill read that displaced it (the exact engine
+// enqueues the victim, reads L2, and drains the buffer afterwards), so
+// warmRefill applies its victims' L2 writes after the read. Write-through
 // stores have no such reordering window that the exact engine's
 // wait-for-empty rules would preserve, so they probe L2 immediately.
+// Where those rules fully order L2 probes (LPSNone with IMissWaitsForWB)
+// warm state equals exact state; FuzzWarmMatchesExact holds them to it.
 
-// l1Pair is the split L1 with its MMU and its L2 side. System embeds
-// it; its timed paths use the same caches.
+// l2bank couples a secondary-cache array with its timing.
+type l2bank struct {
+	c      *cache
+	timing BankTiming
+}
+
+// access is the L2 read and write probe of the line holding addr. A hit
+// makes the line most recently used, and a write dirties it; a miss
+// installs the line from memory, dirty when written (write-allocate),
+// and returns the line it displaced. Every resident L2 line is valid:
+// only this install puts lines there.
+func (b *l2bank) access(addr uint64, write bool) (hit bool, ev evicted) {
+	line := b.c.lineAddr(addr)
+	flags := flagValid
+	if write {
+		flags |= flagDirty
+	}
+	if slot := b.c.probe(line); slot >= 0 {
+		b.c.flags[slot] |= flags
+		return true, evicted{}
+	}
+	return false, b.c.insert(line, flags, b.c.fullMask)
+}
+
+// l1Pair is the split L1 with its MMU and its L2 side, and the write
+// policy's transitions over them. System embeds it.
 type l1Pair struct {
 	mmu      *mmu.MMU
 	l1i, l1d *cache
@@ -43,8 +72,9 @@ type l1Pair struct {
 	l2i, l2d *l2bank
 	l2obs    L2Observer
 
-	policy      WritePolicy
-	dVictimScan bool // policy == WriteBack || LoadsPassStores == LPSDirtyBit
+	policy       WritePolicy
+	writeThrough bool // policy != WriteBack: every store's word goes to L2-D
+	dVictimScan  bool // policy == WriteBack || LoadsPassStores == LPSDirtyBit
 
 	l1iFetchBytes uint64
 	l1dFetchBytes uint64
@@ -63,15 +93,16 @@ func newL1Pair(m *mmu.MMU, cfg *Config) l1Pair {
 		l1i:           newCache(cfg.L1I),
 		l1d:           newCache(cfg.L1D),
 		policy:        cfg.WritePolicy,
+		writeThrough:  cfg.WritePolicy != WriteBack,
 		l1iFetchBytes: uint64(cfg.l1iFetch() * trace.WordBytes),
 		l1dFetchBytes: uint64(cfg.l1dFetch() * trace.WordBytes),
 	}
 	p.iRefillKeepsLine = uint64(cfg.l1iFetch()/cfg.L1I.LineWords) <= p.l1i.sets
-	p.dVictimScan = p.policy == WriteBack || cfg.LoadsPassStores == LPSDirtyBit
+	p.dVictimScan = !p.writeThrough || cfg.LoadsPassStores == LPSDirtyBit
 	return p
 }
 
-// MissKind says whether an untimed L1 access missed, and why.
+// MissKind says whether an L1 access missed, and why.
 type MissKind uint8
 
 const (
@@ -99,187 +130,199 @@ type L2Observer interface {
 	L2Write(addr uint64)
 }
 
-// warmFetch mirrors fetchInstruction: TLB, L1-I probe, refill on miss.
-// A hit leaves the line resident and most recently used, as a line run
-// needs; so does a refill when iRefillKeepsLine.
+// readMiss is the L1-D read-hit test of a load of paddr whose line find
+// placed at slot (-1: not resident): NoMiss, with the line now most
+// recently used, or why the load misses. A resident line that is not
+// write-only is valid.
+func (p *l1Pair) readMiss(slot int, paddr uint64) MissKind {
+	switch {
+	case slot < 0:
+		return LineMiss
+	case p.l1d.flags[slot]&flagWriteOnly != 0:
+		// Write-only lines service writes, not reads: miss and
+		// reallocate (Section 6).
+		return WriteOnlyMiss
+	case p.policy == Subblock && p.l1d.masks[slot]&(1<<p.l1d.wordOf(paddr)) == 0:
+		// Tag matches but this word was never validated.
+		return WordMiss
+	}
+	p.l1d.touch(slot)
+	return NoMiss
+}
+
+// writeHit is the write policy's write-hit update for a store of size
+// bytes at paddr whose line probe found at slot (-1: not resident), and
+// reports whether the store hit. Every resident line takes writes (valid
+// lines under every policy, and write-only ones under the write-only
+// policy, the only one that makes them), so the store hits where the
+// line is resident. A hit sets the dirty bit (write-back data, or the
+// loads-pass-stores dirty bit) except under write-miss-invalidate, which
+// keeps no dirty state, and under subblock placement a full-word write
+// validates its word.
+func (p *l1Pair) writeHit(slot int, paddr uint64, size uint8) bool {
+	if slot < 0 {
+		return false
+	}
+	if p.policy != WriteMissInvalidate {
+		p.l1d.flags[slot] |= flagDirty
+	}
+	if p.policy == Subblock {
+		p.l1d.masks[slot] |= p.l1d.validated(paddr, size)
+	}
+	return true
+}
+
+// writeMiss is the write policy's write-miss update for a store of size
+// bytes at paddr whose line, line, is not resident, and returns the line
+// it displaced. Write-back write-allocates: allocate is the caller's
+// refill of paddr's block, after which the store dirties the line.
+func (p *l1Pair) writeMiss(line, paddr uint64, size uint8, allocate func()) evicted {
+	l1d := p.l1d
+	switch p.policy {
+	case WriteBack:
+		allocate()
+		// A later line of a block wider than L1-D's sets may have
+		// displaced the line again.
+		if slot := l1d.find(line); slot >= 0 {
+			l1d.flags[slot] |= flagDirty
+		}
+	case WriteMissInvalidate:
+		// The write corrupted whatever line the index selected.
+		v := l1d.victimSlot(line)
+		l1d.tags[v], l1d.flags[v], l1d.masks[v] = tagInvalid, 0, 0
+	case WriteOnly:
+		// The line now services writes, so later writes to it hit.
+		return l1d.insert(line, flagWriteOnly|flagDirty, 0)
+	case Subblock:
+		// The tag is installed; only a full-word write validates its
+		// word, a partial write validates nothing.
+		return l1d.insert(line, flagValid|flagDirty, l1d.validated(paddr, size))
+	}
+	return evicted{}
+}
+
+// A victim is a dirty L1-D line that a refill displaces or reinstalls,
+// or that a write miss displaces.
+type victim struct {
+	line uint64 // its line address
+	self bool   // the refill reinstalls this very line (a write-only line being read)
+}
+
+// victims is a data refill's victim selection, before its L2 read: for
+// each line of the L1-D fetch block at block, in order, the slot the
+// fill will take (the line's own if resident, else its set's victim).
+// Each dirty victim is appended to vs and its dirty bit cleared, so a
+// second pass cannot hand it over twice. The scan runs only where a
+// dirty victim matters: under write-back, whose victims carry their data
+// to L2-D, and under the dirty bit, whose victims flush the write
+// buffer. A write-through policy without the dirty bit would probe every
+// line of the block and change nothing.
+func (p *l1Pair) victims(block uint64, vs []victim) []victim {
+	if !p.dVictimScan {
+		return vs
+	}
+	l1d := p.l1d
+	for off := uint64(0); off < p.l1dFetchBytes; off += 1 << l1d.offBits {
+		line := l1d.lineAddr(block + off)
+		slot := l1d.find(line)
+		if slot < 0 {
+			slot = l1d.victimSlot(line)
+		}
+		if l1d.tags[slot] == tagInvalid || l1d.flags[slot]&flagDirty == 0 {
+			continue
+		}
+		vs = append(vs, victim{line: l1d.tags[slot], self: l1d.tags[slot] == line})
+		l1d.flags[slot] &^= flagDirty
+	}
+	return vs
+}
+
+// warmFetch is an untimed instruction fetch: translation, the L1-I
+// probe, and a refill on a miss. A hit leaves the line resident and most
+// recently used, as a line run needs; so does a refill when
+// iRefillKeepsLine.
 func (p *l1Pair) warmFetch(pid mmu.PID, vaddr uint32) (uint64, MissKind) {
 	paddr := p.mmu.TranslateWarmI(pid, vaddr)
-	line := p.l1i.lineAddr(paddr)
-	if slot := p.l1i.find(line); slot >= 0 && p.l1i.flags[slot]&flagValid != 0 {
-		p.l1i.touch(slot)
+	if p.l1i.probe(p.l1i.lineAddr(paddr)) >= 0 {
 		return paddr, NoMiss
 	}
 	p.warmRefill(p.l1i, p.l2i, paddr, p.l1iFetchBytes, true)
 	return paddr, LineMiss
 }
 
-// warmLoad mirrors load, including the write-only and subblock
-// word-miss reallocation cases.
+// warmLoad is an untimed data read, refilling on any kind of miss.
 func (p *l1Pair) warmLoad(pid mmu.PID, vaddr uint32) (uint64, MissKind) {
 	paddr := p.mmu.TranslateWarmD(pid, vaddr)
-	miss := LineMiss
-	if slot := p.l1d.find(p.l1d.lineAddr(paddr)); slot >= 0 {
-		f := p.l1d.flags[slot]
-		switch {
-		case f&flagWriteOnly != 0:
-			// Write-only lines service writes, not reads: reallocate.
-			miss = WriteOnlyMiss
-		case p.policy == Subblock && p.l1d.masks[slot]&(1<<p.l1d.wordOf(paddr)) == 0:
-			// Tag matches but this word was never validated.
-			miss = WordMiss
-		case f&flagValid != 0:
-			p.l1d.touch(slot)
-			return paddr, NoMiss
-		}
+	miss := p.readMiss(p.l1d.find(p.l1d.lineAddr(paddr)), paddr)
+	if miss != NoMiss {
+		p.warmRefill(p.l1d, p.l2d, paddr, p.l1dFetchBytes, false)
 	}
-	p.warmRefill(p.l1d, p.l2d, paddr, p.l1dFetchBytes, false)
 	return paddr, miss
 }
 
-// warmStore mirrors store across all four write policies.
+// warmStore is an untimed data write of size bytes at vaddr.
 func (p *l1Pair) warmStore(pid mmu.PID, vaddr uint32, size uint8) (uint64, MissKind) {
 	paddr := p.mmu.TranslateWarmD(pid, vaddr)
-	if p.policy != WriteBack {
+	if p.writeThrough {
 		// The exact engine enqueues a one-word write-buffer entry whose
 		// drain probes L2-D; functionally that is an immediate L2 write.
 		p.warmL2Write(paddr &^ 3)
 	}
-	l1d := p.l1d
-	line := l1d.lineAddr(paddr)
-	slot := l1d.find(line)
-
-	switch p.policy {
-	case WriteBack:
-		if slot >= 0 && l1d.flags[slot]&flagValid != 0 {
-			l1d.flags[slot] |= flagDirty
-			l1d.touch(slot)
-			return paddr, NoMiss
-		}
-		// Write-allocate.
-		p.warmRefill(l1d, p.l2d, paddr, p.l1dFetchBytes, false)
-		if slot = l1d.find(line); slot >= 0 {
-			l1d.flags[slot] |= flagDirty
-		}
-
-	case WriteMissInvalidate:
-		if slot >= 0 && l1d.flags[slot]&flagValid != 0 {
-			l1d.touch(slot)
-			return paddr, NoMiss
-		}
-		// The write corrupted whatever the index selected.
-		victim := l1d.victimSlot(line)
-		if l1d.tags[victim] != tagInvalid {
-			l1d.tags[victim] = tagInvalid
-			l1d.flags[victim] = 0
-			l1d.masks[victim] = 0
-		}
-
-	case WriteOnly:
-		if slot >= 0 && l1d.flags[slot]&(flagValid|flagWriteOnly) != 0 {
-			l1d.flags[slot] |= flagDirty
-			l1d.touch(slot)
-			return paddr, NoMiss
-		}
-		// Here and in the subblock case, evictFor's work is timing only:
-		// the displaced line's words already reached the write buffer,
-		// and insert rewrites the slot's flags, dirty bit included.
-		l1d.insert(line, flagWriteOnly|flagDirty, 0)
-
-	case Subblock:
-		fullWord := size >= trace.WordBytes && paddr&3 == 0
-		if slot >= 0 && l1d.flags[slot]&flagValid != 0 {
-			if fullWord {
-				l1d.masks[slot] |= 1 << l1d.wordOf(paddr)
-			}
-			l1d.flags[slot] |= flagDirty
-			l1d.touch(slot)
-			return paddr, NoMiss
-		}
-		var mask uint32
-		if fullWord {
-			mask = 1 << l1d.wordOf(paddr)
-		}
-		l1d.insert(line, flagValid|flagDirty, mask)
+	line := p.l1d.lineAddr(paddr)
+	if p.writeHit(p.l1d.probe(line), paddr, size) {
+		return paddr, NoMiss
 	}
+	// The line the miss displaces needs only timed work (a dirty-bit
+	// flush): its words already went to L2 with their stores.
+	p.writeMiss(line, paddr, size, func() {
+		p.warmRefill(p.l1d, p.l2d, paddr, p.l1dFetchBytes, false)
+	})
 	return paddr, LineMiss
 }
 
-// warmRefill mirrors refill: eviction handling, one L2 read for the
-// aligned fetch block (Config.Validate guarantees it fits one L2 line),
-// and the L1 inserts. Write-back victim probes of L2 are deferred until
-// after the read to match the write buffer's FIFO order.
-//
-// The victim scan runs only where it can act: under write-back, which
-// collects victims, or under the dirty bit, which clears flags. A
-// write-through policy without the dirty bit would probe every line of
-// the block and change nothing.
+// warmRefill is an untimed refill of the aligned fetch block containing
+// paddr (Config.Validate guarantees it fits one L2 line): the victim
+// selection, one L2 read, the write-back victims' L2 writes after it in
+// write-buffer order, and the block fill.
 func (p *l1Pair) warmRefill(l1 *cache, bank *l2bank, paddr, fetchBytes uint64, instrSide bool) {
 	block := paddr &^ (fetchBytes - 1)
-	lineBytes := uint64(l1.geom.LineWords * trace.WordBytes)
-	var victimBuf [8]uint64
-	victims := victimBuf[:0]
-	if !instrSide && p.dVictimScan {
-		for off := uint64(0); off < fetchBytes; off += lineBytes {
-			line := l1.lineAddr(block + off)
-			slot := l1.find(line)
-			if slot < 0 {
-				slot = l1.victimSlot(line)
-			}
-			if l1.tags[slot] == tagInvalid || l1.flags[slot]&flagDirty == 0 {
-				continue
-			}
-			if p.policy == WriteBack {
-				victims = append(victims, l1.tags[slot]<<l1.offBits)
-			}
-			l1.flags[slot] &^= flagDirty
+	var buf [8]victim
+	vs := buf[:0]
+	if !instrSide {
+		vs = p.victims(block, vs)
+	}
+	p.warmL2Read(bank, block, instrSide)
+	if !p.writeThrough {
+		for _, v := range vs {
+			p.warmL2Write(v.line << l1.offBits)
 		}
 	}
-
-	p.warmL2Read(bank, block, instrSide)
-	for _, addr := range victims {
-		p.warmL2Write(addr)
-	}
-
-	for off := uint64(0); off < fetchBytes; off += lineBytes {
-		l1.insert(l1.lineAddr(block+off), flagValid, l1.fullMask)
-	}
+	l1.fill(block, fetchBytes)
 }
 
-// warmL2Read mirrors l2Read + memoryFetch content effects, or hands the
-// read to the observer.
+// warmL2Read is an untimed L2 refill read of the block at block, or
+// hands the read to the observer.
 func (p *l1Pair) warmL2Read(bank *l2bank, block uint64, instrSide bool) {
 	if p.l2obs != nil {
 		p.l2obs.L2Read(block, instrSide)
 		return
 	}
-	line := bank.c.lineAddr(block)
-	if slot := bank.c.find(line); slot >= 0 && bank.c.flags[slot]&flagValid != 0 {
-		bank.c.touch(slot)
-		return
-	}
-	bank.c.insert(line, flagValid, bank.c.fullMask)
+	bank.access(block, false)
 }
 
-// warmL2Write mirrors wbService: an L2-D write hit dirties and touches
-// the line; a miss write-allocates it dirty. Under an observer the
-// write goes to the observer instead.
+// warmL2Write is an untimed L2-D write at addr, or hands the write to
+// the observer.
 func (p *l1Pair) warmL2Write(addr uint64) {
 	if p.l2obs != nil {
 		p.l2obs.L2Write(addr)
 		return
 	}
-	bank := p.l2d
-	line := bank.c.lineAddr(addr)
-	if slot := bank.c.find(line); slot >= 0 && bank.c.flags[slot]&flagValid != 0 {
-		bank.c.flags[slot] |= flagDirty
-		bank.c.touch(slot)
-		return
-	}
-	bank.c.insert(line, flagValid|flagDirty, bank.c.fullMask)
+	p.l2d.access(addr, true)
 }
 
-// Filter is the L1 pair as the one-pass analyzer uses it: the untimed
-// model functional warming runs, with an L2Observer as its L2 side. It
+// Filter is the L1 pair as the one-pass analyzer uses it: the warm
+// helpers over the one model of cache state, with an L2Observer as its
+// L2 side. It
 // fetches one line per miss and runs under LPSNone; under those
 // settings its L2 references follow the exact simulator's L2 probes in
 // order (DESIGN.md §11 gives the exactness domain).
@@ -361,8 +404,8 @@ func (s *System) CacheFingerprint() uint64 {
 // straight off a packed cursor's word stream, with no cycle accounting:
 // events are stepped in place through trace.DecodeAt, never
 // materialized, and one L1-I probe serves a run of fetches from one
-// line. Cache and TLB contents move as on the cycle-accurate path
-// (TestWarmMatchesExactFinalState pins the cache state where the
+// line. Cache and TLB contents move through the cycle-accurate path's
+// transitions (FuzzWarmMatchesExact pins the cache state where the
 // write-buffer ordering makes that exact), while the clock and Stats
 // stay untouched. Continuous functional warming is what keeps sampled
 // simulation unbiased on workloads whose L2 reuse distances exceed any

@@ -99,11 +99,19 @@ func run(cfg core.Config, o Options) sim.Result {
 	}))
 }
 
-// runPaperLike simulates the paper-calibrated synthetic workload
-// (workload.PaperLike) on cfg under o, replaying the recording that
-// screening replays for the same level and scale.
+// paperRecording is the recording of the paper-calibrated synthetic
+// workload (workload.PaperLike) at o's level and scale: 400k
+// instructions per process at scale 1. Exact and screening runs over
+// that workload replay it.
+func paperRecording(o Options) []workload.Recorded {
+	return workload.RecordPaperLike(o.Level, uint64(400_000)*uint64(o.Scale))
+}
+
+// runPaperLike simulates the paper-calibrated synthetic workload on cfg
+// under o, replaying the recording that screening replays for the same
+// level and scale.
 func runPaperLike(cfg core.Config, o Options) sim.Result {
-	rec := workload.RecordPaperLike(o.Level, uint64(400_000)*uint64(o.Scale))
+	rec := paperRecording(o)
 	cfg.SelfCheck = o.SelfCheck
 	return must(sim.Run(cfg, workload.ReplayProcesses(rec), sched.Config{
 		Level:           o.Level,

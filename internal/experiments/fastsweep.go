@@ -95,7 +95,7 @@ func FastSweepSuite(o Options) *FastSweepResult { return screenSuite(o, 0) }
 // The tables of unselected classes come out empty.
 func screenPaper(o Options, classes stackdist.ClassSet) *FastSweepResult {
 	o = o.normalized()
-	rec := workload.RecordPaperLike(o.Level, uint64(400_000)*uint64(o.Scale))
+	rec := paperRecording(o)
 	return fastSweepOver("paper-calibrated workload", rec, o, classes)
 }
 
@@ -227,7 +227,7 @@ func validationRecording(fs *FastSweepResult, o Options) []workload.Recorded {
 	if fs.Workload == "kernel suite" {
 		return workload.Record(o.Scale)
 	}
-	return workload.RecordPaperLike(o.Level, uint64(400_000)*uint64(o.Scale))
+	return paperRecording(o)
 }
 
 // ExactGrid replays the full Fig. 6 grid config-by-config on the
@@ -237,7 +237,7 @@ func validationRecording(fs *FastSweepResult, o Options) []workload.Recorded {
 // replay identical traces rather than regenerate them.
 func ExactGrid(o Options) []Fig6Row {
 	o = o.normalized()
-	rec := workload.RecordPaperLike(o.Level, uint64(400_000)*uint64(o.Scale))
+	rec := paperRecording(o)
 	return sweep(o, len(Fig6Sizes)*len(Fig6Orgs), func(i int) Fig6Row {
 		size := Fig6Sizes[i/len(Fig6Orgs)]
 		org := Fig6Orgs[i%len(Fig6Orgs)]

@@ -146,6 +146,24 @@ func (c Config) validate() error {
 	return nil
 }
 
+// CheckCap refuses max, a run's instruction cap, when it is nonzero and
+// too short for a run sampled under c to measure two complete intervals,
+// the fewest that give a confidence interval (Stat collapses it onto the
+// mean below two). Two periods always suffice: the interval of period k
+// ends by (k+1)*Period. The error wraps ErrConfig and names the minimum.
+func (c Config) CheckCap(max uint64) error {
+	period := c.withDefaults().Period
+	if max == 0 || max/2 >= period {
+		return nil
+	}
+	least := uint64(math.MaxUint64)
+	if period <= math.MaxUint64/2 {
+		least = 2 * period
+	}
+	return fmt.Errorf("sample: %w: a cap of %d instructions measures fewer than the two intervals a confidence interval needs; "+
+		"cap at 0 (none) or at least %d, two %d-instruction sampling periods", ErrConfig, max, least, period)
+}
+
 // Stat is one sampled statistic: the mean across measured intervals
 // with its standard error and 95% confidence interval. With fewer than
 // two intervals the spread is unknowable and Stderr/CI collapse onto

@@ -2,8 +2,10 @@ package sample_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -157,6 +159,34 @@ func TestSampledConfigValidation(t *testing.T) {
 	}
 	if got := res.Config; got.Warmup != 500 || got.FunctionalWindow != 0 {
 		t.Errorf("windows not clamped into the gap: %+v", got)
+	}
+}
+
+// TestCheckCapNeedsTwoPeriods pins the cap rule: no cap, or at least
+// two (effective) sampling periods, passes; anything shorter is refused
+// with ErrConfig naming the minimum, without overflowing on a huge
+// period.
+func TestCheckCapNeedsTwoPeriods(t *testing.T) {
+	for _, c := range []struct {
+		cfg  sample.Config
+		max  uint64
+		want string // "" passes; else a substring of the error
+	}{
+		{sample.Config{}, 0, ""},
+		{sample.Config{}, 200_000, "at least 1440000, two 720000-instruction"},
+		{sample.Config{}, 1_439_999, "at least 1440000"},
+		{sample.Config{}, 1_440_000, ""},
+		{sample.Config{Period: 100_000}, 150_000, "at least 200000"},
+		{sample.Config{Period: 100_000}, 200_000, ""},
+		{sample.Config{Period: math.MaxUint64}, math.MaxUint64 - 1, "at least 18446744073709551615"},
+	} {
+		err := c.cfg.CheckCap(c.max)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%+v cap %d: %v, want no error", c.cfg, c.max, err)
+		case c.want != "" && (!errors.Is(err, sample.ErrConfig) || !strings.Contains(fmt.Sprint(err), c.want)):
+			t.Errorf("%+v cap %d: %v, want ErrConfig naming %q", c.cfg, c.max, err, c.want)
+		}
 	}
 }
 

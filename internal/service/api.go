@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/report"
+	"repro/internal/sample"
 )
 
 // CodeVersion names the simulator semantics baked into every cache key.
@@ -132,6 +133,12 @@ func (r SweepRequest) validate() error {
 	if !e.Serves(r.Fidelity) {
 		return fmt.Errorf("%w: experiment %q has no %s mode (%s ids: %s)", ErrBadRequest,
 			r.Experiment, r.Fidelity, r.Fidelity, strings.Join(experiments.ServedIDs(r.Fidelity), ", "))
+	}
+	if r.Fidelity == FidelitySampled {
+		// The service samples at the default regime.
+		if err := (sample.Config{}).CheckCap(r.MaxInstructions); err != nil {
+			return fmt.Errorf("%w: max_instructions: %w", ErrBadRequest, err)
+		}
 	}
 	return nil
 }

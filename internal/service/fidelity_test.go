@@ -63,6 +63,9 @@ func TestSweepFidelityValidation(t *testing.T) {
 		{"unknown fidelity", `{"experiment":"fig6","fidelity":"quick"}`, "must be"},
 		{"no screening mode", `{"experiment":"fig2","fidelity":"screening"}`, "no screening mode"},
 		{"no sampled mode", `{"experiment":"fig3","fidelity":"sampled"}`, "no sampled mode"},
+		// Fewer than two sampling periods measure fewer than two
+		// intervals, so no confidence interval.
+		{"sampled cap under two periods", `{"experiment":"fig2","fidelity":"sampled","max_instructions":200000}`, "at least 1440000"},
 	}
 	for _, c := range cases {
 		resp, body := postSweep(t, ts, c.body)

@@ -62,6 +62,9 @@ func TestExportedKeysMatchServedKeys(t *testing.T) {
 	if _, err := SweepKey(SweepRequest{Experiment: "no-such"}); err == nil {
 		t.Fatal("invalid sweep request must not get a routing key")
 	}
+	if _, err := SweepKey(SweepRequest{Experiment: "fig2", Fidelity: FidelitySampled, MaxInstructions: 200_000}); err == nil {
+		t.Fatal("a sampled request capped too short for a CI must not get a routing key")
+	}
 	if _, err := SimKey(SimRequest{Scale: MaxScale + 1}); err == nil {
 		t.Fatal("invalid sim request must not get a routing key")
 	}

@@ -9,10 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// FilterStats counts the filter L1's traffic. The filter is core's
-// untimed L1 model (core.Filter), the one functional warming runs, so
-// each field counts exactly what the exact simulator's Stats field of
-// the same name counts; screening CPI estimates and validation tests
+// FilterStats counts the filter L1's traffic. The filter (core.Filter)
+// applies the exact simulator's own cache-state transitions, so each
+// field counts exactly what the exact simulator's Stats field of the
+// same name counts; screening CPI estimates and validation tests
 // line the two up.
 type FilterStats struct {
 	L1IAccesses, L1IMisses        uint64

@@ -30,10 +30,11 @@
 // one fixed L1 configuration — the "filter" — generates the
 // secondary-cache reference stream, which is analyzed three ways
 // (unified, instruction-only, data-only) so both unified and split L2
-// organizations come out of the same pass. The filter is core.Filter:
-// core's one untimed model of the L1 pair, the transitions functional
-// warming runs, with this package's L2 classes as its L2 side; this
-// package holds no write-policy logic. Reads and writes are binned
+// organizations come out of the same pass. The filter is core.Filter,
+// an untimed driver of core's one model of cache state, whose
+// transitions the exact simulator and functional warming apply too,
+// with this package's L2 classes as its L2 side; this package holds no
+// write-policy logic. Reads and writes are binned
 // separately for write-policy screening, and every histogram is also
 // recorded per process. Config.Classes restricts a pass to the classes
 // its caller reads; the others are neither built nor fed.
