@@ -15,10 +15,11 @@ test:
 
 # bench: run the suite — including the one-pass screening pair
 # (BenchmarkOnePassGrid vs BenchmarkExactGridConfigByConfig) and the
-# per-layer benchmarks (trace Batch decode and SkipScan, MMU
-# translation, core StepBatch, StepScan and WarmScan, stackdist
-# Analyze per served class set, sampled simulation's skip, warm and
-# measure phases, report JSON encoding, store Get/Put per fsync policy,
+# per-layer benchmarks (workload recording of the scale-1 suite, trace
+# Pack, Batch decode and SkipScan, MMU translation, core StepBatch,
+# StepScan and WarmScan, stackdist Analyze per served class set,
+# sampled simulation's skip, warm and measure phases, report JSON
+# encoding, store Get/Put per fsync policy,
 # the service's request keying (strict path and memo) and loopback hit
 # per tier, the fabric's coordinator-tier hit and forward hop) — and
 # keep a machine-readable
@@ -31,7 +32,7 @@ test:
 #   go run ./cmd/benchjson -compare BENCH_<old>.json BENCH_<new>.json
 bench:
 	sha="$$(git describe --always --dirty 2>/dev/null || echo unknown)"; \
-	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/trace ./internal/mmu ./internal/core ./internal/stackdist ./internal/sample ./internal/report ./internal/store ./internal/service ./internal/fabric | $(GO) run ./cmd/benchjson \
+	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/workload ./internal/trace ./internal/mmu ./internal/core ./internal/stackdist ./internal/sample ./internal/report ./internal/store ./internal/service ./internal/fabric | $(GO) run ./cmd/benchjson \
 		-sha "$$sha" -o "BENCH_$$(date +%Y-%m-%d)-$$sha.json"
 
 # lint: the repo-specific cachelint suite (internal/lint): nopanic,

@@ -7,7 +7,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"repro/internal/experiments"
@@ -89,14 +88,11 @@ func run() (err error) {
 		}
 		procs = []sched.Process{{Name: *traceFile, Stream: rec.NewCursor()}}
 	} else {
-		procs = workload.Processes(*scale)
-		for i, p := range procs {
-			rec, err := pack(p.Stream, *maxInstr)
-			if err != nil {
-				return fmt.Errorf("suite member %q: %w", p.Name, err)
-			}
-			procs[i].Stream = rec.NewCursor()
+		rs, err := workload.Pack(workload.Members(), *scale, *maxInstr)
+		if err != nil {
+			return err
 		}
+		procs = workload.ReplayProcesses(rs)
 	}
 
 	res, err := sim.Run(cfg, procs, sched.Config{
@@ -122,23 +118,4 @@ func run() (err error) {
 		fmt.Printf("per-process instructions:\n%s", report.FormatPerProcess(res.Sched.PerProcess))
 	}
 	return nil
-}
-
-// pack records a live suite member for the scheduler, which steps
-// packed cursors only. With max > 0 it records at most max events, and
-// the run is the same: no process can run more instructions than a run
-// capped at max, so a member cut there would end only after the run has
-// stopped. The cap also keeps a short run from first recording the
-// whole suite. An emulator's failure surfaces here, because a cursor
-// cannot fail.
-func pack(s trace.Stream, max uint64) (*trace.Recorded, error) {
-	src := s
-	if max > 0 {
-		src = trace.Limit(s, int(min(max, math.MaxInt)))
-	}
-	rec := trace.Pack(src)
-	if err := trace.StreamErr(s); err != nil {
-		return nil, fmt.Errorf("trace stream after %d instructions: %w", rec.Len(), err)
-	}
-	return rec, nil
 }

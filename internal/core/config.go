@@ -288,6 +288,10 @@ func (c *Config) Validate() error {
 	if c.l1iFetch()%c.L1I.LineWords != 0 || c.l1dFetch()%c.L1D.LineWords != 0 {
 		return fmt.Errorf("core: fetch size must be a multiple of the line size")
 	}
+	// A refill aligns its block to the fetch size with a mask.
+	if !powerOfTwo(c.l1iFetch()) || !powerOfTwo(c.l1dFetch()) {
+		return fmt.Errorf("core: fetch sizes %dW (L1-I) and %dW (L1-D) must be powers of two", c.l1iFetch(), c.l1dFetch())
+	}
 	if c.WBEntries <= 0 || c.WBEntryWords <= 0 {
 		return fmt.Errorf("core: bad write buffer shape %dx%dW", c.WBEntries, c.WBEntryWords)
 	}

@@ -50,6 +50,9 @@ func TestValidateRejections(t *testing.T) {
 		{"size not divisible", func(c *Config) { c.L1D.SizeWords = 4096 + 4 }},
 		{"fetch not multiple of line", func(c *Config) { c.L1IFetch = 6 }},
 		{"fetch exceeds L2 line", func(c *Config) { c.L1DFetch = 64 }},
+		{"L1-I fetch not a power of two", func(c *Config) { c.L1IFetch = 12 }},
+		{"L1-D fetch not a power of two", func(c *Config) { c.L1DFetch = 12 }},
+		{"negative fetch", func(c *Config) { c.L1DFetch = -4 }},
 		{"zero WB entries", func(c *Config) { c.WBEntries = 0 }},
 		{"zero WB width", func(c *Config) { c.WBEntryWords = 0 }},
 		{"dirty penalty below clean", func(c *Config) { c.MemDirtyPenalty = 10 }},

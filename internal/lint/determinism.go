@@ -60,8 +60,8 @@ var determinismScope = pathIn(
 // internal/synth instead), ranging over a map (iteration order is
 // randomized — collect the keys and sort them first), and writes to
 // package-level state from functions that take no sync primitive.
-// The last rule exists because experiments.RunParallel fans
-// configuration runs over goroutines: shared mutable globals in any
+// The last rule exists because workload.RunParallel fans configuration
+// runs and suite packing over goroutines: shared mutable globals in any
 // package those runs enter are data races, and racy memoization is the
 // classic way byte-identical reports stop being byte-identical.
 var Determinism = &Analyzer{
@@ -201,5 +201,5 @@ walk:
 		return
 	}
 	pass.Reportf(lhs.Pos(),
-		"write to package-level %s outside a sync-using function; parallel sweeps (experiments.RunParallel) enter this package from many goroutines — guard the state with a sync primitive or keep it per-run", obj.Name())
+		"write to package-level %s outside a sync-using function; parallel sweeps (workload.RunParallel) enter this package from many goroutines — guard the state with a sync primitive or keep it per-run", obj.Name())
 }

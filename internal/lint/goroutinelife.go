@@ -35,6 +35,7 @@ var GoroutineLife = &Analyzer{
 		"repro/internal/harness",
 		"repro/internal/faultinject",
 		"repro/internal/experiments",
+		"repro/internal/workload",
 		"repro/internal/fabric",
 	),
 	Run: runGoroutineLife,

@@ -16,7 +16,7 @@
 //     wall clock, use the global math/rand, iterate over maps, or write
 //     package-level state without a sync primitive — the paper's
 //     cycle-accounting figures must be bit-for-bit reproducible run to
-//     run, and parallel sweeps (experiments.RunParallel) enter these
+//     run, and parallel sweeps (workload.RunParallel) enter these
 //     packages from many goroutines.
 //   - exhaustive: a switch over a small named constant "enum" type
 //     (trace record kinds, write policies, instruction classes) must

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -51,4 +52,19 @@ func BenchmarkSkipScan(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+}
+
+// BenchmarkPack measures packing: one member of the recorded scale-1
+// kernel suite (sieve, replayed from memory so the source costs little)
+// drained by trace.Pack into a new recording. B/op is the words'
+// allocation, which regrowth by append would multiply.
+func BenchmarkPack(b *testing.B) {
+	src := trace.Collect(workload.Record(1)[0].Trace.NewCursor())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Reset()
+		trace.Pack(src)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(src.Len()), "ns/event")
 }

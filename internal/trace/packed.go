@@ -32,11 +32,11 @@ type Recorded struct {
 	n     int
 	// blockWord[i] is the offset in words of event i*skipIndexBlock,
 	// and sysEv lists the event indices whose Syscall flag is set, in
-	// ascending order. Both are maintained by Append (appending is the
-	// only mutation a Recorded ever sees), and together they let
-	// SkipScan jump a fast-forward span in O(log syscalls) with at
-	// most skipIndexBlock words walked, instead of touching every
-	// event's words.
+	// ascending order. Both are maintained as events are added (by Pack
+	// or Append, the only mutations a Recorded ever sees), and together
+	// they let SkipScan jump a fast-forward span in O(log syscalls)
+	// with at most skipIndexBlock words walked, instead of touching
+	// every event's words.
 	blockWord []int
 	sysEv     []int
 }
@@ -44,10 +44,19 @@ type Recorded struct {
 // skipIndexBlock is the event stride of the packed skip index.
 const skipIndexBlock = 4096
 
+// eventWords is the most words one event encodes to (the raw escape).
+const eventWords = 4
+
 // decodeSlack is how many words of capacity a Recorded keeps past its
-// last word: an event spans at most four words, so DecodeAt can load
-// all four from any event's first word.
-const decodeSlack = 3
+// last word: an event spans at most eventWords words, so DecodeAt can
+// load all of them from any event's first word.
+const decodeSlack = eventWords - 1
+
+// packChunkWords is the size of the chunks Pack encodes into (256 KB):
+// large enough that a chunk's allocation is spread over tens of
+// thousands of events, small enough that a short stream's one chunk is
+// no burden.
+const packChunkWords = 1 << 16
 
 // Event tags (low two bits of the leading word). Exported, with the
 // meta-word layout below, for scanners that step straight off RawWords
@@ -70,24 +79,62 @@ const (
 	MetaSyscallBit = 1 << 24
 )
 
-// Pack drains s into a new packed recording.
+// Pack drains s into a new packed recording. It encodes into
+// fixed-size chunks and joins them once into a word stream of exactly
+// its length plus decodeSlack: growing one slice by append instead
+// copies several times the final size while packing and leaves up to a
+// fifth of it as unused capacity for the recording's lifetime.
 func Pack(s Stream) *Recorded {
 	r := &Recorded{}
-	var ev Event
+	var (
+		full  [][]uint32 // filled chunks, in order
+		words int        // total length of full
+		ev    Event
+	)
+	chunk := make([]uint32, 0, packChunkWords)
 	for s.Next(&ev) {
-		r.Append(&ev)
+		if cap(chunk)-len(chunk) < eventWords {
+			full = append(full, chunk)
+			words += len(chunk)
+			chunk = make([]uint32, 0, packChunkWords)
+		}
+		r.index(&ev, words+len(chunk))
+		chunk = appendEvent(chunk, &ev)
 	}
+	r.words = make([]uint32, 0, words+len(chunk)+decodeSlack)
+	for _, c := range full {
+		r.words = append(r.words, c...)
+	}
+	r.words = append(r.words, chunk...)
 	return r
 }
 
 // Append adds one event to the end of the recording.
 func (r *Recorded) Append(ev *Event) {
+	r.index(ev, len(r.words))
+	r.words = appendEvent(r.words, ev)
+	if cap(r.words)-len(r.words) < decodeSlack {
+		// Guarded: storing the slice header on every call costs a
+		// write barrier per event while a collection runs.
+		r.words = slices.Grow(r.words, decodeSlack)
+	}
+}
+
+// index enters the next event, whose first word will be word w of the
+// stream, in the skip index, and counts it.
+func (r *Recorded) index(ev *Event, w int) {
 	if r.n%skipIndexBlock == 0 {
-		r.blockWord = append(r.blockWord, len(r.words))
+		r.blockWord = append(r.blockWord, w)
 	}
 	if ev.Syscall {
 		r.sysEv = append(r.sysEv, r.n)
 	}
+	r.n++
+}
+
+// appendEvent appends ev's encoding to words. It is the packed format's
+// only encoder, as DecodeAt is its only decoder.
+func appendEvent(words []uint32, ev *Event) []uint32 {
 	meta := uint32(ev.Kind)<<MetaKindShift |
 		uint32(ev.Size)<<MetaSizeShift |
 		uint32(ev.Stall)<<MetaStallShift
@@ -96,20 +143,14 @@ func (r *Recorded) Append(ev *Event) {
 	}
 	switch {
 	case ev.PC&3 != 0:
-		r.words = append(r.words, TagRaw, meta, ev.Data, ev.PC)
+		return append(words, TagRaw, meta, ev.Data, ev.PC)
 	case meta == 0 && ev.Data == 0:
-		r.words = append(r.words, ev.PC|TagPlain)
+		return append(words, ev.PC|TagPlain)
 	case ev.Data == 0:
-		r.words = append(r.words, ev.PC|TagMeta, meta)
+		return append(words, ev.PC|TagMeta, meta)
 	default:
-		r.words = append(r.words, ev.PC|TagData, meta, ev.Data)
+		return append(words, ev.PC|TagData, meta, ev.Data)
 	}
-	if cap(r.words)-len(r.words) < decodeSlack {
-		// Guarded: storing the slice header on every call costs a
-		// write barrier per event while a collection runs.
-		r.words = slices.Grow(r.words, decodeSlack)
-	}
-	r.n++
 }
 
 // Len returns the number of recorded events.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -184,5 +185,62 @@ func TestCursorIndependence(t *testing.T) {
 	}
 	if !b.Next(&ev) || ev.PC != 0 {
 		t.Fatalf("cursor b should start at PC 0, got %#x", ev.PC)
+	}
+}
+
+// TestPackChunksMatchAppend packs streams spanning several of Pack's
+// encoding chunks and checks each against the same events added one at
+// a time with Append: the words, the length, the skip index (whose
+// block offsets must be offsets into the joined stream, not into a
+// chunk), the syscall list, and where every step of a SkipScan walk
+// lands. The events cycle through all four tags, the unaligned-PC
+// escape among them, with syscalls mixed in, so every chunk join falls
+// among events of each tag; the four rotations of the cycle move the
+// joins across its word phases. The packed stream must also end with
+// exactly decodeSlack words of spare capacity.
+func TestPackChunksMatchAppend(t *testing.T) {
+	cycle := []Event{
+		{PC: 0x400000},           // plain: 1 word
+		{PC: 0x400004, Stall: 2}, // meta: 2 words
+		{PC: 0x400008, Kind: Load, Size: 4, Data: 0x1000},  // data: 3 words
+		{PC: 0x40000d, Kind: Store, Size: 1, Data: 0x1001}, // raw escape: 4 words
+	}
+	const n = 100_000 // ~250k words: four chunks
+	for rot := range cycle {
+		evs := make([]Event, n)
+		for i := range evs {
+			evs[i] = cycle[(i+rot)%len(cycle)]
+			evs[i].PC += uint32(i) * 16
+			evs[i].Syscall = i%997 == 0
+		}
+		p := Pack(NewMemTrace(evs))
+		a := &Recorded{}
+		for i := range evs {
+			a.Append(&evs[i])
+		}
+		if len(p.words) < 3*packChunkWords {
+			t.Fatalf("rotation %d: %d words span fewer than 3 chunks", rot, len(p.words))
+		}
+		if p.Len() != a.Len() || !slices.Equal(p.words, a.words) ||
+			!slices.Equal(p.blockWord, a.blockWord) || !slices.Equal(p.sysEv, a.sysEv) {
+			t.Fatalf("rotation %d: Pack (%d events, %d words, %d blocks, %d syscalls) differs from Append (%d, %d, %d, %d)",
+				rot, p.Len(), len(p.words), len(p.blockWord), len(p.sysEv), a.Len(), len(a.words), len(a.blockWord), len(a.sysEv))
+		}
+		if spare := cap(p.words) - len(p.words); spare != decodeSlack {
+			t.Errorf("rotation %d: Pack left %d words of spare capacity, want %d", rot, spare, decodeSlack)
+		}
+		pc, ac := p.NewCursor(), a.NewCursor()
+		for step := 0; ; step++ {
+			budget := []int{1, 3, 4095, 4096, 4097, 9_999, 65_536}[step%7]
+			pn, psys := pc.SkipScan(budget)
+			an, asys := ac.SkipScan(budget)
+			if pn != an || psys != asys || pc.w != ac.w || pc.wEv != ac.wEv {
+				t.Fatalf("rotation %d, SkipScan step %d (budget %d): Pack landed at (%d, %v, word %d, event %d), Append at (%d, %v, word %d, event %d)",
+					rot, step, budget, pn, psys, pc.w, pc.wEv, an, asys, ac.w, ac.wEv)
+			}
+			if pn == 0 {
+				break
+			}
+		}
 	}
 }

@@ -9,7 +9,10 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 
 	"repro/internal/progs"
@@ -100,35 +103,38 @@ func Processes(scale int) []sched.Process {
 	return procs
 }
 
-// PaperLike returns n synthetic processes calibrated to the reference
+// PaperLike returns n synthetic members calibrated to the reference
 // ratios the paper reports for its workload: ~20% loads, 7.25% stores,
 // a ~3.5% L1-D miss ratio in a 4 KW cache (98% write hits), and a small
-// L2 miss ratio. Experiments that depend quantitatively on those ratios
+// L2 miss ratio. Each member's stream runs instructions × scale
+// instructions. Experiments that depend quantitatively on those ratios
 // (the Fig. 5 write-policy crossover) are validated against this
-// workload as well as the harsher kernel suite. The streams are live;
-// RecordPaperLike packs them for the scheduler.
-func PaperLike(n int, instructions uint64) []sched.Process {
-	procs := make([]sched.Process, n)
-	for i := range procs {
-		procs[i] = sched.Process{
+// workload as well as the harsher kernel suite; RecordPaperLike packs
+// it for the scheduler.
+func PaperLike(n int, instructions uint64) []Member {
+	members := make([]Member, n)
+	for i := range members {
+		members[i] = Member{
 			Name: fmt.Sprintf("paperlike-%d", i),
-			Stream: synth.New(synth.Config{
-				Instructions: instructions,
-				LoadFrac:     0.20,
-				StoreFrac:    0.0725,
-				CodeBytes:    32 * 1024,
-				DataBytes:    64 * 1024,
-				SeqFrac:      0.04,
-				HotFrac:      0.92,
-				HotBytes:     8 * 1024,
-				StoreBurst:   6,
-				StallProb:    0.20,
-				SyscallEvery: 300_000,
-				Seed:         0xbeef_0000 + uint64(i),
-			}),
+			NewStream: func(scale int) trace.Stream {
+				return synth.New(synth.Config{
+					Instructions: instructions * uint64(scale),
+					LoadFrac:     0.20,
+					StoreFrac:    0.0725,
+					CodeBytes:    32 * 1024,
+					DataBytes:    64 * 1024,
+					SeqFrac:      0.04,
+					HotFrac:      0.92,
+					HotBytes:     8 * 1024,
+					StoreBurst:   6,
+					StallProb:    0.20,
+					SyscallEvery: 300_000,
+					Seed:         0xbeef_0000 + uint64(i),
+				})
+			},
 		}
 	}
-	return procs
+	return members
 }
 
 // Recorded is a suite member's captured trace in the packed
@@ -142,86 +148,125 @@ type Recorded struct {
 	Trace *trace.Recorded
 }
 
-// recordEntry memoizes one scale's recording. The once gate means
-// concurrent first callers of Record for the same scale share a single
-// recording pass (and later callers pay only the map lookup), while
-// different scales record independently without serializing on a
-// global lock.
-type recordEntry struct {
-	once sync.Once
-	rs   []Recorded
-}
-
-var (
-	recordMu    sync.Mutex // guards the map only, never held while recording
-	recordCache = map[int]*recordEntry{}
-)
-
-// Record captures every member's full trace at the given scale. Results
-// are memoized per scale and safe for concurrent callers: the returned
-// slice and its traces are shared and immutable, so callers must only
-// replay via cursors (which ReplayProcesses does).
-func Record(scale int) []Recorded {
-	if scale < 1 {
-		scale = 1
-	}
-	recordMu.Lock()
-	e, ok := recordCache[scale]
-	if !ok {
-		e = &recordEntry{}
-		recordCache[scale] = e
-	}
-	recordMu.Unlock()
-	e.once.Do(func() {
-		members := Members()
-		rs := make([]Recorded, len(members))
-		for i, m := range members {
-			rs[i] = Recorded{Name: m.Name, Class: m.Class, Trace: trace.Pack(m.NewStream(scale))}
+// Pack records each member's trace at the given scale and returns the
+// recordings in members' order. Members are independent streams, so up
+// to GOMAXPROCS of them pack at once, each into its own index: the
+// result is the one packing them in turn would give. With max > 0 each
+// member is recorded only up to max events, which a run capped at max
+// instructions cannot tell apart from the whole recording, since no
+// process runs more instructions than the run does.
+//
+// A member's stream fails (an emulator fault, its step limit) here,
+// where it is packed, because the scheduler steps packed cursors and a
+// cursor cannot fail: the error names each failed member with the
+// number of events it produced, and no recording is returned.
+func Pack(members []Member, scale int, max uint64) ([]Recorded, error) {
+	rs := make([]Recorded, len(members))
+	errs := make([]error, len(members))
+	RunParallel(runtime.GOMAXPROCS(0), len(members), func(i int) {
+		m := members[i]
+		s := m.NewStream(scale)
+		src := s
+		if max > 0 {
+			src = trace.Limit(s, int(min(max, math.MaxInt)))
 		}
-		e.rs = rs
+		rec := trace.Pack(src)
+		if err := trace.StreamErr(s); err != nil {
+			errs[i] = fmt.Errorf("member %q: trace stream after %d instructions: %w", m.Name, rec.Len(), err)
+			return
+		}
+		rs[i] = Recorded{Name: m.Name, Class: m.Class, Trace: rec}
 	})
-	return e.rs
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return rs, nil
 }
 
-// paperKey identifies one PaperLike recording: the process count and
-// the per-process instruction budget.
-type paperKey struct {
+// recordKey names one memoized recording: the kernel suite at a scale,
+// or n paper-like members of perProc instructions each.
+type recordKey struct {
+	scale   int
 	n       int
 	perProc uint64
 }
 
+// recordEntry memoizes one recording. The once gate means concurrent
+// first callers share a single packing pass (and later callers pay
+// only the map lookup), while different keys record independently
+// without serializing on a global lock.
+type recordEntry struct {
+	once sync.Once
+	rs   []Recorded
+	err  error
+}
+
 var (
-	paperMu    sync.Mutex // guards the map only, never held while recording
-	paperCache = map[paperKey]*recordEntry{}
+	recordMu    sync.Mutex // guards the map only, never held while recording
+	recordCache = map[recordKey]*recordEntry{}
 )
+
+// errPackPanicked is what every call after the first reports for a
+// recording whose packing panicked: once counts a panicking function as
+// done, and the recording it left is empty.
+var errPackPanicked = errors.New("workload: packing the recording panicked")
+
+// recorded returns key's recording, packing it with pack on the first
+// call.
+func recorded(key recordKey, pack func() ([]Recorded, error)) []Recorded {
+	recordMu.Lock()
+	e, ok := recordCache[key]
+	if !ok {
+		e = &recordEntry{}
+		recordCache[key] = e
+	}
+	recordMu.Unlock()
+	return e.get(pack)
+}
+
+// get returns the entry's recording, packing it with pack on the first
+// call. A failed packing is memoized as its error, never as a short
+// recording, and every call panics with that error: Record's callers
+// have no error path, and the run harness (internal/harness) turns the
+// panic into a structured failure, as it does for experiments' must.
+func (e *recordEntry) get(pack func() ([]Recorded, error)) []Recorded {
+	e.once.Do(func() {
+		e.err = errPackPanicked // replaced unless pack panics
+		e.rs, e.err = pack()
+	})
+	if e.err != nil {
+		panic(e.err)
+	}
+	return e.rs
+}
+
+// Record captures every member's full trace at the given scale. Results
+// are memoized per scale and safe for concurrent callers: the returned
+// slice and its traces are shared and immutable, so callers must only
+// replay via cursors (which ReplayProcesses does). A member that fails
+// to record panics every call with Pack's error.
+func Record(scale int) []Recorded {
+	if scale < 1 {
+		scale = 1
+	}
+	return recorded(recordKey{scale: scale}, func() ([]Recorded, error) {
+		return Pack(Members(), scale, 0)
+	})
+}
 
 // RecordPaperLike captures the paper-calibrated synthetic workload
 // (see PaperLike) in packed form, memoized per (n, perProc) with the
-// same sharing contract as Record: the returned traces are immutable
-// and must be replayed via cursors. The one-pass screening engine and
-// its exact cross-validation both replay this recording, so analyzer
-// and simulator see bit-identical event streams.
+// same contract as Record: the returned traces are immutable and must
+// be replayed via cursors. The one-pass screening engine and its exact
+// cross-validation both replay this recording, so analyzer and
+// simulator see bit-identical event streams.
 func RecordPaperLike(n int, perProc uint64) []Recorded {
 	if n < 1 {
 		n = 1
 	}
-	key := paperKey{n, perProc}
-	paperMu.Lock()
-	e, ok := paperCache[key]
-	if !ok {
-		e = &recordEntry{}
-		paperCache[key] = e
-	}
-	paperMu.Unlock()
-	e.once.Do(func() {
-		procs := PaperLike(n, perProc)
-		rs := make([]Recorded, len(procs))
-		for i, p := range procs {
-			rs[i] = Recorded{Name: p.Name, Trace: trace.Pack(p.Stream)}
-		}
-		e.rs = rs
+	return recorded(recordKey{n: n, perProc: perProc}, func() ([]Recorded, error) {
+		return Pack(PaperLike(n, perProc), 1, 0)
 	})
-	return e.rs
 }
 
 // ReplayProcesses returns scheduler processes that replay recorded

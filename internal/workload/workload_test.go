@@ -95,12 +95,12 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestPaperLikeCalibration(t *testing.T) {
-	procs := PaperLike(8, 400_000)
-	if len(procs) != 8 {
-		t.Fatalf("PaperLike(8) returned %d processes", len(procs))
+	members := PaperLike(8, 400_000)
+	if len(members) != 8 {
+		t.Fatalf("PaperLike(8) returned %d members", len(members))
 	}
-	// Characterize one process: the mix must match the paper's ratios.
-	c := trace.Characterize(procs[0].Stream)
+	// Characterize one member: the mix must match the paper's ratios.
+	c := trace.Characterize(members[0].NewStream(1))
 	if got := c.LoadPercent(); got < 18 || got > 22 {
 		t.Errorf("load%% = %.1f, want ~20", got)
 	}
@@ -111,8 +111,8 @@ func TestPaperLikeCalibration(t *testing.T) {
 		t.Error("no voluntary syscalls")
 	}
 	// Distinct seeds: two processes must differ.
-	e1 := trace.Collect(PaperLike(2, 1000)[0].Stream).Events()
-	e2 := trace.Collect(PaperLike(2, 1000)[1].Stream).Events()
+	e1 := trace.Collect(PaperLike(2, 1000)[0].NewStream(1)).Events()
+	e2 := trace.Collect(PaperLike(2, 1000)[1].NewStream(1)).Events()
 	same := 0
 	for i := range e1 {
 		if e1[i] == e2[i] {
