@@ -15,7 +15,8 @@ test:
 
 # bench: run the suite — including the one-pass screening pair
 # (BenchmarkOnePassGrid vs BenchmarkExactGridConfigByConfig) and the
-# per-layer benchmarks (workload recording of the scale-1 suite, trace
+# per-layer benchmarks (workload recording of the scale-1 suite and a
+# cold capped run's recording, trace
 # Pack, Batch decode and SkipScan, MMU translation, core StepBatch,
 # StepScan and WarmScan, stackdist Analyze per served class set,
 # sampled simulation's skip, warm and measure phases, report JSON
@@ -45,7 +46,8 @@ lint:
 # under the race detector, vet and tests of the nested perfbench module
 # (root ./... skips it, so an API change it depends on would otherwise
 # go unnoticed), and short fuzz smokes over the trace-file reader, the
-# packed trace format, screening against the exact simulator, the
+# packed trace format, recordings that grow on demand against drained
+# ones, screening against the exact simulator, the
 # scheduler against its per-event reference, the request-key memo
 # against the strict keying path, and functional warming against the
 # exact simulator's cache state.
@@ -63,6 +65,7 @@ verify: lint
 	GOFLAGS=-mod=mod GOWORK=off $(GO) -C perfbench test ./...
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzGrowMatchesPack -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzScreeningMatchesExact -fuzztime=10s ./internal/stackdist
 	$(GO) test -run=^$$ -fuzz=FuzzRunMatchesReference -fuzztime=10s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzKeyBodyMatchesDirect -fuzztime=10s ./internal/service

@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -36,12 +37,12 @@ var benchOpt = experiments.Options{MaxInstructions: 400_000}
 var benchParOpt = experiments.Options{MaxInstructions: 400_000, Parallelism: 8}
 
 func BenchmarkTable1Characterize(b *testing.B) {
-	rec := workload.Record(1)
+	rec := recordAll(workload.Record(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := workload.Table1(rec)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
+		rows, err := workload.Table1(rec)
+		if err != nil || len(rows) == 0 {
+			b.Fatal("no rows", err)
 		}
 	}
 }
@@ -81,7 +82,7 @@ func BenchmarkFig5WritePolicy(b *testing.B) {
 // BenchmarkFig5WritePolicyParallel fans the 20-configuration write
 // policy sweep over 8 workers.
 func BenchmarkFig5WritePolicyParallel(b *testing.B) {
-	workload.Record(1)
+	recordAll(workload.Record(1))
 	b.ResetTimer()
 	var rows []experiments.Fig5Row
 	for i := 0; i < b.N; i++ {
@@ -110,7 +111,7 @@ func BenchmarkFig6L2Organization(b *testing.B) {
 // sweep fanned over 8 workers; comparing it against the serial
 // benchmark above measures the across-config speedup on this machine.
 func BenchmarkFig6L2OrganizationParallel(b *testing.B) {
-	workload.Record(1) // record outside the timer, as the serial variant's first run does
+	recordAll(workload.Record(1)) // record outside the timer, as the serial variant's first run does
 	b.ResetTimer()
 	var rows []experiments.Fig6Row
 	for i := 0; i < b.N; i++ {
@@ -169,7 +170,7 @@ func BenchmarkFig10Concurrency(b *testing.B) {
 // BenchmarkExactGridConfigByConfig, which earns only the 28 Fig. 6 rows
 // by replaying the same recording once per configuration.
 func BenchmarkOnePassGrid(b *testing.B) {
-	workload.RecordPaperLike(8, 400_000) // record outside the timer
+	recordAll(workload.RecordPaperLike(8, 400_000)) // record outside the timer
 	var fs *experiments.FastSweepResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -187,7 +188,7 @@ func BenchmarkOnePassGrid(b *testing.B) {
 // baseline: the same recording, the same 28 Fig. 6 configurations, one
 // cycle-accurate replay each.
 func BenchmarkExactGridConfigByConfig(b *testing.B) {
-	workload.RecordPaperLike(8, 400_000)
+	recordAll(workload.RecordPaperLike(8, 400_000))
 	var rows []experiments.Fig6Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -250,7 +251,7 @@ func BenchmarkExactSweepBaseline(b *testing.B) {
 // BenchmarkSimulatorThroughput measures raw trace-replay speed through
 // the base architecture, in simulated instructions per b.N op.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	rec := workload.Record(1)
+	rec := recordAll(workload.Record(1))
 	const cap = 1_000_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -307,4 +308,15 @@ func BenchmarkSystemStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// recordAll reads each recording of rs to its end, so that no timed
+// replay pays for recording it, and returns rs.
+func recordAll(rs []workload.Recorded) []workload.Recorded {
+	for _, r := range rs {
+		c := r.Trace.NewCursor()
+		for n, _ := c.SkipScan(math.MaxInt); n > 0; n, _ = c.SkipScan(math.MaxInt) {
+		}
+	}
+	return rs
 }

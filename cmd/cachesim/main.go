@@ -88,11 +88,7 @@ func run() (err error) {
 		}
 		procs = []sched.Process{{Name: *traceFile, Stream: rec.NewCursor()}}
 	} else {
-		rs, err := workload.Pack(workload.Members(), *scale, *maxInstr)
-		if err != nil {
-			return err
-		}
-		procs = workload.ReplayProcesses(rs)
+		procs = workload.ReplayProcesses(workload.Record(*scale))
 	}
 
 	res, err := sim.Run(cfg, procs, sched.Config{

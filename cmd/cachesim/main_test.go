@@ -1,42 +1,63 @@
 package main
 
 import (
-	"reflect"
+	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
-// TestPackCapIsExact pins the -max cap: members packed only up to the
-// run's instruction cap give the same run as the full recordings,
-// including at level 1, where the first member runs the whole cap and
-// its cut end coincides with the run's stop.
-func TestPackCapIsExact(t *testing.T) {
-	const perProc, max = 50_000, 30_000
-	for _, level := range []int{1, 4} {
-		scfg := sched.Config{Level: level, TimeSlice: 20_000, MaxInstructions: max}
-		rs, err := workload.Pack(workload.PaperLike(4, perProc), 1, max)
+// cachesimBin is the cachesim binary TestMain builds for these tests,
+// which run it the way a user does: flags in, stdout out.
+var cachesimBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "cachesim-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	cachesimBin = filepath.Join(dir, "cachesim")
+	out, err := exec.Command("go", "build", "-o", cachesimBin, ".").CombinedOutput()
+	code := 1
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// TestMaxOutputGolden pins what a capped run prints, byte for byte, on
+// recordings that grow only as far as the run reads: the whole report of
+// `-max 200000`, whose one running member reads a prefix of its
+// recording, and of a level-4 run with a short slice, which reads a
+// prefix of each of four members, switching among them mid-chunk. The
+// goldens were printed by the version that recorded the whole suite, or
+// each member up to the cap, before running.
+func TestMaxOutputGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"max200000.golden", []string{"-max", "200000"}},
+		{"optimized_level4_max200000.golden", []string{"-preset", "optimized", "-level", "4", "-slice", "20000", "-max", "200000"}},
+	} {
+		var out, errOut bytes.Buffer
+		cmd := exec.Command(cachesimBin, tc.args...)
+		cmd.Stdout, cmd.Stderr = &out, &errOut
+		if err := cmd.Run(); err != nil || errOut.Len() != 0 {
+			t.Fatalf("cachesim %q: %v, stderr %q", tc.args, err, errOut.String())
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range rs {
-			if r.Trace.Len() != max {
-				t.Fatalf("member %s packed %d events, want the cap %d", r.Name, r.Trace.Len(), max)
-			}
-		}
-		got, err := sim.Run(core.Base(), workload.ReplayProcesses(rs), scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sim.Run(core.Base(), workload.ReplayProcesses(workload.RecordPaperLike(4, perProc)), scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("level %d: capped members ran\n%+v\nwant\n%+v", level, got, want)
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("cachesim %q printed\n%s\nwant\n%s", tc.args, out.Bytes(), want)
 		}
 	}
 }

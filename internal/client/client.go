@@ -31,6 +31,7 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -282,6 +283,23 @@ func endpointOf(rawurl string) string {
 	return u.Scheme + "://" + u.Host
 }
 
+// requestEndpoint is endpointOf for a URL that http.NewRequest has
+// parsed into u. A URL that starts with its own scheme://host, as every
+// URL this client is given does, yields that prefix of itself, which
+// costs no allocation and no second parse. Any other URL is parsed
+// again, as is one with an empty port ("h:"), which NewRequest drops
+// from u.Host but the key keeps.
+func requestEndpoint(u *url.URL, rawurl string) string {
+	n := len(u.Scheme)
+	if u.Host != "" && strings.HasPrefix(rawurl, u.Scheme) && strings.HasPrefix(rawurl[n:], "://") &&
+		strings.HasPrefix(rawurl[n+3:], u.Host) {
+		if end := n + 3 + len(u.Host); end == len(rawurl) || rawurl[end] != ':' {
+			return rawurl[:end]
+		}
+	}
+	return endpointOf(rawurl)
+}
+
 // breakerFor returns the endpoint's circuit, creating a closed one on
 // first contact. Caller must hold c.mu.
 func (c *Client) breakerFor(endpoint string) *breaker {
@@ -297,28 +315,28 @@ func (c *Client) breakerFor(endpoint string) *breaker {
 // the circuit breaker; it returns the first 2xx response. Non-retryable
 // statuses (4xx other than 429) return an error immediately.
 func (c *Client) PostJSON(ctx context.Context, url string, body []byte) (Result, error) {
-	return c.call(ctx, endpointOf(url), func(actx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("client: build request: %w", err)
-		}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err == nil {
 		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
+	}
+	return c.call(ctx, url, req, err)
 }
 
 // Get fetches url under the same resilience policy as PostJSON.
 func (c *Client) Get(ctx context.Context, url string) (Result, error) {
-	return c.call(ctx, endpointOf(url), func(actx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, fmt.Errorf("client: build request: %w", err)
-		}
-		return req, nil
-	})
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	return c.call(ctx, url, req, err)
 }
 
-func (c *Client) call(ctx context.Context, endpoint string, build func(context.Context) (*http.Request, error)) (Result, error) {
+// call sends req, built once from rawurl, under the resilience policy;
+// buildErr says why building it failed, which fails every attempt. The
+// breaker key comes from the URL req already parsed, so a call parses
+// its URL once, however many attempts it makes.
+func (c *Client) call(ctx context.Context, rawurl string, req *http.Request, buildErr error) (Result, error) {
+	endpoint := rawurl
+	if buildErr == nil {
+		endpoint = requestEndpoint(req.URL, rawurl)
+	}
 	if err := c.admit(endpoint); err != nil {
 		return Result{}, err
 	}
@@ -333,7 +351,7 @@ func (c *Client) call(ctx context.Context, endpoint string, build func(context.C
 		c.stats.Attempts++
 		c.mu.Unlock()
 
-		res, retryable, wait, err := c.attempt(ctx, build)
+		res, retryable, wait, err := c.attempt(ctx, req, buildErr, attempt)
 		if err == nil {
 			res.Attempts = attempt + 1
 			c.settle(endpoint, true)
@@ -352,17 +370,23 @@ func (c *Client) call(ctx context.Context, endpoint string, build func(context.C
 	return Result{}, fmt.Errorf("%w: %w", ErrExhausted, lastErr)
 }
 
-// attempt runs one HTTP exchange under the per-attempt deadline,
-// classifying the outcome: retryable or not, plus any server-requested
-// wait from a Retry-After header.
-func (c *Client) attempt(ctx context.Context, build func(context.Context) (*http.Request, error)) (res Result, retryable bool, wait time.Duration, err error) {
+// attempt runs one HTTP exchange of req, the call's n-th, under the
+// per-attempt deadline, classifying the outcome: retryable or not, plus
+// any server-requested wait from a Retry-After header. The first
+// attempt sends req's own body; a retry sends a fresh copy of it.
+func (c *Client) attempt(ctx context.Context, req *http.Request, buildErr error, n int) (res Result, retryable bool, wait time.Duration, err error) {
+	if buildErr != nil {
+		return Result{}, false, 0, fmt.Errorf("client: build request: %w", buildErr)
+	}
 	actx, cancel := context.WithTimeout(ctx, c.opts.AttemptTimeout)
 	defer cancel()
-	req, err := build(actx)
-	if err != nil {
-		return Result{}, false, 0, err
+	areq := req.WithContext(actx)
+	if n > 0 && req.GetBody != nil {
+		if areq.Body, err = req.GetBody(); err != nil {
+			return Result{}, false, 0, fmt.Errorf("client: build request: %w", err)
+		}
 	}
-	resp, err := c.opts.HTTPClient.Do(req)
+	resp, err := c.opts.HTTPClient.Do(areq)
 	if err != nil {
 		// Transport errors (connection refused, reset, attempt
 		// deadline) are retryable unless the caller's own context is

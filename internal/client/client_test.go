@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -474,5 +475,107 @@ func TestDeclaredLengthNotPreallocated(t *testing.T) {
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<19 {
 		t.Fatalf("allocated %d bytes for a 20-byte body declared at 1 MiB", n)
+	}
+}
+
+// cannedTransport answers every request with status and a 2-byte body
+// without touching the network.
+type cannedTransport int
+
+func (status cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		io.Copy(io.Discard, req.Body)
+		req.Body.Close()
+	}
+	return &http.Response{StatusCode: int(status), ContentLength: 2, Body: io.NopCloser(strings.NewReader("ok")),
+		Header: http.Header{}, Request: req}, nil
+}
+
+// TestBreakerKeyMatchesEndpoint pins the breaker key a call files its
+// outcome under: for every URL, including ones with no host, user info
+// or an upper-case scheme, and one that does not parse, the key is
+// Endpoint's, whether the call posts or gets. An empty port, which
+// http.NewRequest drops from the URL it parses, stays in the key.
+func TestBreakerKeyMatchesEndpoint(t *testing.T) {
+	urls := []string{
+		"http://localhost:8344/v1/sweep",
+		"https://a.example:9/x?y=z",
+		"http://[::1]:8344/v1/sim",
+		"HTTP://upper.example/x",
+		"http://user@h:1/a",
+		"http://h:/a",
+		"http://[::1]:/a",
+		"http://user@h:/a",
+		"//h:2/a",
+		"not a url",
+		"http://[::1/unparseable",
+	}
+	for _, post := range []bool{false, true} {
+		c, _ := newTestClient(t, Options{MaxAttempts: 1, HTTPClient: &http.Client{Transport: cannedTransport(http.StatusInternalServerError)}})
+		for _, u := range urls {
+			var err error
+			if post {
+				_, err = c.PostJSON(context.Background(), u, []byte(`{}`))
+			} else {
+				_, err = c.Get(context.Background(), u)
+			}
+			if err == nil {
+				t.Fatalf("%s: a 500 succeeded", u)
+			}
+		}
+		var got []string
+		for _, b := range c.BreakerStates() {
+			got = append(got, b.Endpoint)
+		}
+		var want []string
+		for _, u := range urls {
+			want = append(want, Endpoint(u))
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		want = slices.Compact(want) // two URLs share "http://h:"
+		if !slices.Equal(got, want) {
+			t.Errorf("post %v: breakers keyed %q, want %q", post, got, want)
+		}
+	}
+}
+
+// TestCallParsesURLOnce pins what a call allocates beyond the request it
+// sends: a PostJSON or Get that succeeds at once against a transport
+// that needs no network allocates at most 5 more times than building
+// the same request and sending it directly does. A client that parses
+// the URL for the breaker key and again to build the request makes 6.
+func TestCallParsesURLOnce(t *testing.T) {
+	hc := &http.Client{Transport: cannedTransport(http.StatusOK)}
+	c, _ := newTestClient(t, Options{HTTPClient: hc})
+	const u = "http://localhost:8344/v1/sim"
+	body := []byte(`{"config":{"preset":"optimized"}}`)
+	direct := func(method string, b io.Reader) {
+		req, err := http.NewRequestWithContext(context.Background(), method, u, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readBody(resp)
+		resp.Body.Close()
+	}
+	for _, tc := range []struct {
+		name   string
+		call   func()
+		direct func()
+	}{
+		{"PostJSON", func() { c.PostJSON(context.Background(), u, body) }, func() { direct(http.MethodPost, bytes.NewReader(body)) }},
+		{"Get", func() { c.Get(context.Background(), u) }, func() { direct(http.MethodGet, nil) }},
+	} {
+		call, base := testing.AllocsPerRun(100, tc.call), testing.AllocsPerRun(100, tc.direct)
+		if call-base > 5 {
+			t.Errorf("%s allocates %.0f times, %.0f more than sending its request directly; want at most 5 more", tc.name, call, call-base)
+		}
 	}
 }

@@ -204,7 +204,8 @@ func (s *System) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 }
 
 // StepScan is StepBatch straight off a packed cursor's words: it steps
-// the events in place through trace.DecodeAt, without building Events.
+// the events in place through trace.DecodeAt, without building Events,
+// and goes on across the recording's chunk ends without stopping there.
 // The contract is StepBatch's over the next max events of c: the scan
 // consumes events until it has executed a syscall event (reported
 // true), the clock has advanced at least max cycles since entry, a fault
@@ -222,24 +223,31 @@ func (s *System) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall
 	stop := s.now + uint64(max)
 	run := noRun
 	words, w := c.RawWords()
+	n0 := 0 // n when the scan entered words
+scan:
 	for w < len(words) {
-		pc, meta, data, next := trace.DecodeAt(words, w)
-		w = next
-		n++
-		run = s.step(pid, run, pc, data, trace.Kind(meta>>trace.MetaKindShift),
-			uint8(meta>>trace.MetaSizeShift), uint8(meta>>trace.MetaStallShift))
-		if s.fault != nil {
-			break
+		for w < len(words) {
+			pc, meta, data, next := trace.DecodeAt(words, w)
+			w = next
+			n++
+			run = s.step(pid, run, pc, data, trace.Kind(meta>>trace.MetaKindShift),
+				uint8(meta>>trace.MetaSizeShift), uint8(meta>>trace.MetaStallShift))
+			if s.fault != nil {
+				break scan
+			}
+			if meta&trace.MetaSyscallBit != 0 {
+				syscall = true
+				break scan
+			}
+			if s.now >= stop {
+				break scan
+			}
 		}
-		if meta&trace.MetaSyscallBit != 0 {
-			syscall = true
-			break
-		}
-		if s.now >= stop {
-			break
-		}
+		c.RawAdvance(w, n-n0)
+		n0 = n
+		words, w = c.RawWords()
 	}
-	c.RawAdvance(w, n)
+	c.RawAdvance(w, n-n0)
 	return n, syscall, s.fault
 }
 

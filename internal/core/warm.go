@@ -420,8 +420,9 @@ func (s *System) CacheFingerprint() uint64 {
 // are compared on virtual addresses, which is sound within one call
 // (one PID) because a cache line never spans pages.
 //
-// Up to max events are consumed; a consumed syscall event stops the
-// scan (reported true), so a scheduler can honor syscall-triggered
+// Up to max events are consumed, across the recording's chunk ends
+// without stopping there; a consumed syscall event stops the scan
+// (reported true), so a scheduler can honor syscall-triggered
 // context switches at the exact instruction a full replay would, and
 // n == 0 with max > 0 means the cursor is exhausted. A latched model
 // fault refuses further work exactly as Step does.
@@ -429,34 +430,46 @@ func (s *System) WarmScan(pid mmu.PID, c *trace.Cursor, max int) (int, bool, err
 	if s.fault != nil {
 		return 0, false, s.fault
 	}
+	if max <= 0 {
+		return 0, false, nil
+	}
 	words, w := c.RawWords()
 	shift := s.l1i.offBits
 	run := noRun
-	n := 0
+	n, n0 := 0, 0 // n0: n when the scan entered words
 	syscall := false
-	for n < max && w < len(words) {
-		pc, meta, data, next := trace.DecodeAt(words, w)
-		w = next
-		n++
-		if line := pc >> shift; line != run {
-			run = noRun
-			if _, miss := s.warmFetch(pid, pc); miss == NoMiss || s.iRefillKeepsLine {
-				run = line
+scan:
+	for w < len(words) {
+		for n < max && w < len(words) {
+			pc, meta, data, next := trace.DecodeAt(words, w)
+			w = next
+			n++
+			if line := pc >> shift; line != run {
+				run = noRun
+				if _, miss := s.warmFetch(pid, pc); miss == NoMiss || s.iRefillKeepsLine {
+					run = line
+				}
+			}
+			switch trace.Kind(meta >> trace.MetaKindShift) {
+			case trace.Load:
+				s.warmLoad(pid, data)
+			case trace.Store:
+				s.warmStore(pid, data, uint8(meta>>trace.MetaSizeShift))
+			case trace.None:
+				// Fetch-only instruction; nothing further to warm.
+			}
+			if meta&trace.MetaSyscallBit != 0 {
+				syscall = true
+				break scan
 			}
 		}
-		switch trace.Kind(meta >> trace.MetaKindShift) {
-		case trace.Load:
-			s.warmLoad(pid, data)
-		case trace.Store:
-			s.warmStore(pid, data, uint8(meta>>trace.MetaSizeShift))
-		case trace.None:
-			// Fetch-only instruction; nothing further to warm.
-		}
-		if meta&trace.MetaSyscallBit != 0 {
-			syscall = true
+		if n == max {
 			break
 		}
+		c.RawAdvance(w, n-n0)
+		n0 = n
+		words, w = c.RawWords()
 	}
-	c.RawAdvance(w, n)
+	c.RawAdvance(w, n-n0)
 	return n, syscall, nil
 }

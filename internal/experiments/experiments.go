@@ -75,13 +75,14 @@ func (o Options) normalized() Options {
 }
 
 // must unwraps a simulation run whose configuration is a table-driven
-// variant of the validated base architectures. Such a run can still
-// fail (a bad derived geometry, a failed self-check); the experiment
+// variant of the validated base architectures, or the workload's
+// characterization. Such a run can still fail (a bad derived geometry,
+// a failed self-check, a member whose emulator faults); the experiment
 // row builders have no error path, so the failure is raised as a panic,
 // which the sweep harness (internal/harness) converts back into a
 // structured RunError rather than killing the whole sweep. This is the
 // one sanctioned panic path in the experiments package.
-func must(res sim.Result, err error) sim.Result {
+func must[T any](res T, err error) T {
 	if err != nil {
 		panic(fmt.Errorf("experiments: %w", err))
 	}
@@ -386,7 +387,7 @@ func RunFidelity(id string, o Options) (string, error) {
 // Table1 formats the workload characterization.
 func Table1(o Options) string {
 	o = o.normalized()
-	return workload.FormatTable1(workload.Table1(workload.Record(o.Scale)))
+	return workload.FormatTable1(must(workload.Table1(workload.Record(o.Scale))))
 }
 
 // kwLabel formats a size in words as the paper writes it (16K, 1024K).

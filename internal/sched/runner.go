@@ -115,7 +115,7 @@ func NewRunner(target Target, procs []Process, cfg Config) (*Runner, error) {
 		if _, ok := p.Stream.(trace.BatchStream); ok && batch != nil {
 			continue
 		}
-		return nil, fmt.Errorf("sched: process %q: stream %T is not a packed-trace cursor; pack it with trace.Pack", p.Name, p.Stream)
+		return nil, fmt.Errorf("sched: process %q: stream %T is not a packed-trace cursor; record it with trace.Record", p.Name, p.Stream)
 	}
 	level := cfg.Level
 	if level <= 0 {
@@ -320,7 +320,10 @@ func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, u
 		n, syscall, err = r.target.StepScan(p.pid, p.c, int(k))
 	}
 	if n == 0 && err == nil {
-		return chunkTerminated, 0, nil
+		if p.c == nil || p.c.Err() == nil {
+			return chunkTerminated, 0, nil
+		}
+		err = p.c.Err()
 	}
 	if mode != ModeMeasure {
 		r.nominal += uint64(n) * r.nomCharge

@@ -199,10 +199,14 @@ func TestRunnerMixedModesDeterministic(t *testing.T) {
 
 // warmProcs packs four synthetic processes whose working sets overflow
 // the Base L1s, with a syscall every 10,000 instructions.
-func warmProcs() []Process {
+func warmProcs() []Process { return synthProcs(trace.Pack) }
+
+// synthProcs returns warmProcs' processes over the recordings that rec
+// makes of their streams.
+func synthProcs(rec func(trace.Stream) *trace.Recorded) []Process {
 	procs := make([]Process, 4)
 	for i := range procs {
-		procs[i] = Process{Name: string(rune('a' + i)), Stream: trace.Pack(synth.New(synth.Config{
+		procs[i] = Process{Name: string(rune('a' + i)), Stream: rec(synth.New(synth.Config{
 			Instructions: 40_000,
 			LoadFrac:     0.20,
 			StoreFrac:    0.10,

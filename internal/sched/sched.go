@@ -12,12 +12,15 @@
 // end of the workload in measure mode; sampled simulation drives one by
 // hand through skip, warm and measure phases. Every process stream is a
 // packed-trace cursor (*trace.Cursor), stepped straight off its words.
-// A stream that can fail, such as a tape or an emulator, fails where it
-// is packed, never here. The one other stream the scheduler takes is a
-// trace.BatchStream that is not a cursor, in measure mode only: the
-// timing wrappers of perfbench's traced replay are the only such
-// streams. Such a stream can fail, and its failure (trace.StreamErr)
-// ends the run like a target fault.
+// A recording grows as its cursors read it, so the source it records,
+// such as an emulator, fails when the first run reaches the failing
+// event: the cursor reports the fault (Cursor.Err), and the run that
+// reached it fails like a target fault, naming the process. A run that
+// stops short of it never sees it. The one other stream the scheduler
+// takes is a trace.BatchStream that is not a cursor, in measure mode
+// only: the timing wrappers of perfbench's traced replay are the only
+// such streams. Such a stream can fail, and its failure
+// (trace.StreamErr) ends the run the same way.
 package sched
 
 import (

@@ -97,29 +97,36 @@ func (a *Analyzer) Step(pid mmu.PID, ev *trace.Event) error {
 // interleaving for the analyzer as for the simulator: the scan consumes
 // events until it has analyzed a syscall event (reported true), the
 // clock has advanced at least max cycles since entry, or the cursor runs
-// out; n == 0 with max > 0 means c is exhausted. The error is always
-// nil.
+// out, going on across the recording's chunk ends; n == 0 with max > 0
+// means c is exhausted. The error is always nil.
 func (a *Analyzer) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error) {
 	if max <= 0 {
 		return 0, false, nil
 	}
 	stop := a.now + uint64(max)
 	words, w := c.RawWords()
+	n0 := 0 // n when the scan entered words
+scan:
 	for w < len(words) {
-		pc, meta, data, next := trace.DecodeAt(words, w)
-		w = next
-		n++
-		a.step(pid, pc, data, trace.Kind(meta>>trace.MetaKindShift),
-			uint8(meta>>trace.MetaSizeShift), uint8(meta>>trace.MetaStallShift))
-		if meta&trace.MetaSyscallBit != 0 {
-			syscall = true
-			break
+		for w < len(words) {
+			pc, meta, data, next := trace.DecodeAt(words, w)
+			w = next
+			n++
+			a.step(pid, pc, data, trace.Kind(meta>>trace.MetaKindShift),
+				uint8(meta>>trace.MetaSizeShift), uint8(meta>>trace.MetaStallShift))
+			if meta&trace.MetaSyscallBit != 0 {
+				syscall = true
+				break scan
+			}
+			if a.now >= stop {
+				break scan
+			}
 		}
-		if a.now >= stop {
-			break
-		}
+		c.RawAdvance(w, n-n0)
+		n0 = n
+		words, w = c.RawWords()
 	}
-	c.RawAdvance(w, n)
+	c.RawAdvance(w, n-n0)
 	return n, syscall, nil
 }
 

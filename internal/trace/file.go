@@ -242,8 +242,7 @@ func WriteAll(w io.Writer, s Stream) (uint64, error) {
 }
 
 // ReadAll decodes an entire trace file into a packed recording. A
-// corrupt or truncated tape fails here, where it is packed: the
-// recording's cursors cannot fail.
+// corrupt or truncated tape fails here, before any run replays it.
 func ReadAll(r io.Reader) (*Recorded, error) {
 	tr, err := NewReader(r)
 	if err != nil {

@@ -10,9 +10,11 @@ import (
 // input: PC (4 bytes), data (4), kind, size, stall, flags.
 const fuzzRecordBytes = 12
 
-// maxFuzzEvents caps one input's event count: three skip-index blocks,
-// enough for SkipScan's block jumps to land inside a later block.
-const maxFuzzEvents = 3 * skipIndexBlock
+// maxFuzzEvents caps one input's event count: enough events to fill
+// three chunks even when every event is a one-word plain instruction,
+// so a long input crosses chunk joins and SkipScan's chunk jumps land
+// inside a later chunk.
+const maxFuzzEvents = 3 * chunkWords
 
 // Flag bits of a fuzz record's last byte.
 const (
@@ -24,9 +26,9 @@ const (
 
 // fuzzEvents turns fuzz bytes into events. The first byte is a repeat
 // count (its value plus one) for the pattern the remaining 12-byte
-// records describe, so a short input can still span several skip-index
-// blocks. Any PC (aligned or not), any Kind, Size and Stall byte, the
-// syscall flag, and zero or non-zero data can appear.
+// records describe, so a short input can still span several chunks.
+// Any PC (aligned or not), any Kind, Size and Stall byte, the syscall
+// flag, and zero or non-zero data can appear.
 func fuzzEvents(data []byte) []Event {
 	if len(data) < 1+fuzzRecordBytes {
 		return nil
@@ -80,12 +82,12 @@ func fuzzInput(reps byte, evs []Event) []byte {
 
 // FuzzPackedRoundTrip packs arbitrary events and requires every way of
 // reading the packed words back to reproduce them: Next, Batch and Skip
-// in random chunk sizes (partial skips included), and a DecodeAt walk
-// over RawWords. One cursor driven through a random interleaving of all
-// of them and SkipScan must consume every event once, in order, and sit
-// on that walk's word offsets after each step. SkipScan from every
-// event position must then land on the word offset that walk found for
-// the event it stops before.
+// in random sizes (partial skips included), and a DecodeAt walk over
+// each chunk's words. One cursor driven through a random interleaving
+// of all of them, SkipScan and a RawWords scan must consume every event
+// once, in order, and sit on that walk's word offsets after each step.
+// SkipScan from every event position must then land on the word offset
+// that walk found for the event it stops before.
 func FuzzPackedRoundTrip(f *testing.F) {
 	f.Add(fuzzInput(0, fuzzSeedEvents))
 	f.Add(fuzzInput(0, packedSamples()))
@@ -100,13 +102,10 @@ func FuzzPackedRoundTrip(f *testing.F) {
 	for i := 0; i < 14; i++ {
 		mixed = append(mixed, Event{PC: 0x400100 + 4*uint32(i)})
 	}
-	f.Add(fuzzInput(255, mixed)) // 5120 events: crosses a skip-index block
+	f.Add(fuzzInput(255, mixed)) // 5120 events, 7168 words: crosses a chunk join
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs := fuzzEvents(data)
-		r := &Recorded{}
-		for i := range evs {
-			r.Append(&evs[i])
-		}
+		r := Pack(NewMemTrace(evs))
 		if r.Len() != len(evs) {
 			t.Fatalf("Len = %d, want %d", r.Len(), len(evs))
 		}
@@ -144,25 +143,32 @@ func FuzzPackedRoundTrip(f *testing.F) {
 			got += k
 		}
 
-		words, w := r.NewCursor().RawWords()
+		// offsets[i] is event i's first word, counting the words of the
+		// chunks before its own.
 		offsets := make([]int, 0, len(evs)+1)
-		for i := 0; w < len(words); i++ {
-			if i >= len(evs) {
-				t.Fatalf("DecodeAt walk found more than %d events", len(evs))
+		base := 0
+		for _, ch := range sealed(r) {
+			words := ch.words
+			for w := 0; w < len(words); {
+				i := len(offsets)
+				if i >= len(evs) {
+					t.Fatalf("DecodeAt walk found more than %d events", len(evs))
+				}
+				offsets = append(offsets, base+w)
+				pc, meta, d, next := DecodeAt(words, w)
+				var e Event
+				setEvent(&e, pc, meta, d)
+				if e != evs[i] {
+					t.Fatalf("DecodeAt event %d at word %d = %+v, want %+v", i, base+w, e, evs[i])
+				}
+				w = next
 			}
-			offsets = append(offsets, w)
-			pc, meta, d, next := DecodeAt(words, w)
-			var e Event
-			setEvent(&e, pc, meta, d)
-			if e != evs[i] {
-				t.Fatalf("DecodeAt event %d at word %d = %+v, want %+v", i, w, e, evs[i])
-			}
-			w = next
+			base += len(words)
 		}
 		if len(offsets) != len(evs) {
 			t.Fatalf("DecodeAt walk found %d events, want %d", len(offsets), len(evs))
 		}
-		offsets = append(offsets, len(words))
+		offsets = append(offsets, base)
 
 		// One cursor through a random interleaving of every way to
 		// consume: each step must hand out the next events in order and
@@ -209,8 +215,8 @@ func FuzzPackedRoundTrip(f *testing.F) {
 				}
 			}
 			p += n
-			if c.w != offsets[p] || c.wEv != p {
-				t.Fatalf("after a step to event %d: cursor at word %d, event %d; want word %d", p, c.w, c.wEv, offsets[p])
+			if wordPos(c) != offsets[p] || c.ev != p {
+				t.Fatalf("after a step to event %d: cursor at word %d, event %d; want word %d", p, wordPos(c), c.ev, offsets[p])
 			}
 		}
 		if c.Next(&ev) || len(c.Batch(1)) != 0 {
@@ -228,8 +234,8 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		}
 		c = r.NewCursor()
 		for p := 0; p <= len(evs); p++ {
-			if c.w != offsets[p] || c.wEv != p {
-				t.Fatalf("cursor at event %d: word %d, want %d", c.wEv, c.w, offsets[p])
+			if wordPos(c) != offsets[p] || c.ev != p {
+				t.Fatalf("cursor at event %d: word %d, want %d", c.ev, wordPos(c), offsets[p])
 			}
 			max := 1 + rng.Intn(64)
 			if p%97 == 0 {
@@ -241,9 +247,9 @@ func FuzzPackedRoundTrip(f *testing.F) {
 			}
 			d := *c
 			n, sys := d.SkipScan(max)
-			if n != want || sys != wantSys || d.w != offsets[p+n] || d.wEv != p+n {
+			if n != want || sys != wantSys || wordPos(&d) != offsets[p+n] || d.ev != p+n {
 				t.Fatalf("SkipScan(%d) from event %d = (%d, %v) at word %d; want (%d, %v) at word %d",
-					max, p, n, sys, d.w, want, wantSys, offsets[p+want])
+					max, p, n, sys, wordPos(&d), want, wantSys, offsets[p+want])
 			}
 			if p < len(evs) {
 				if n, _ := c.SkipScan(1); n != 1 {

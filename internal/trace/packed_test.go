@@ -188,24 +188,43 @@ func TestCursorIndependence(t *testing.T) {
 	}
 }
 
-// TestPackChunksMatchAppend packs streams spanning several of Pack's
-// encoding chunks and checks each against the same events added one at
-// a time with Append: the words, the length, the skip index (whose
-// block offsets must be offsets into the joined stream, not into a
-// chunk), the syscall list, and where every step of a SkipScan walk
-// lands. The events cycle through all four tags, the unaligned-PC
-// escape among them, with syscalls mixed in, so every chunk join falls
-// among events of each tag; the four rotations of the cycle move the
-// joins across its word phases. The packed stream must also end with
-// exactly decodeSlack words of spare capacity.
-func TestPackChunksMatchAppend(t *testing.T) {
+// sealed returns r's sealed chunks, in order.
+func sealed(r *Recorded) []*chunk {
+	var chs []*chunk
+	for ch := r.root.next.Load(); ch != nil; ch = ch.next.Load() {
+		chs = append(chs, ch)
+	}
+	return chs
+}
+
+// wordPos returns the position of c's next event as a word offset into
+// the words of all its recording's chunks, end to end.
+func wordPos(c *Cursor) int {
+	w := c.w
+	for ch := c.r.root.next.Load(); ch != nil && c.ch != &c.r.root && ch != c.ch; ch = ch.next.Load() {
+		w += len(ch.words)
+	}
+	return w
+}
+
+// TestPackChunksMatchRecord packs streams spanning a dozen chunks and
+// checks each against the same events recorded on demand while a cursor
+// reads them in SkipScan steps: the same chunks, word for word, with the
+// same first events, lengths and syscall lists, and the same landing
+// word and event after every step. The events cycle through all four
+// tags, the unaligned-PC escape among them, with syscalls mixed in, so
+// the chunk joins fall among events of each tag; the four rotations of
+// the cycle move the joins across its word phases. Every chunk but the
+// last is full to within one event, and keeps at least decodeSlack words
+// of spare capacity; the last, trimmed, keeps exactly decodeSlack.
+func TestPackChunksMatchRecord(t *testing.T) {
 	cycle := []Event{
 		{PC: 0x400000},           // plain: 1 word
 		{PC: 0x400004, Stall: 2}, // meta: 2 words
 		{PC: 0x400008, Kind: Load, Size: 4, Data: 0x1000},  // data: 3 words
 		{PC: 0x40000d, Kind: Store, Size: 1, Data: 0x1001}, // raw escape: 4 words
 	}
-	const n = 100_000 // ~250k words: four chunks
+	const n = 20_000 // 50k words: a dozen chunks
 	for rot := range cycle {
 		evs := make([]Event, n)
 		for i := range evs {
@@ -214,32 +233,34 @@ func TestPackChunksMatchAppend(t *testing.T) {
 			evs[i].Syscall = i%997 == 0
 		}
 		p := Pack(NewMemTrace(evs))
-		a := &Recorded{}
-		for i := range evs {
-			a.Append(&evs[i])
-		}
-		if len(p.words) < 3*packChunkWords {
-			t.Fatalf("rotation %d: %d words span fewer than 3 chunks", rot, len(p.words))
-		}
-		if p.Len() != a.Len() || !slices.Equal(p.words, a.words) ||
-			!slices.Equal(p.blockWord, a.blockWord) || !slices.Equal(p.sysEv, a.sysEv) {
-			t.Fatalf("rotation %d: Pack (%d events, %d words, %d blocks, %d syscalls) differs from Append (%d, %d, %d, %d)",
-				rot, p.Len(), len(p.words), len(p.blockWord), len(p.sysEv), a.Len(), len(a.words), len(a.blockWord), len(a.sysEv))
-		}
-		if spare := cap(p.words) - len(p.words); spare != decodeSlack {
-			t.Errorf("rotation %d: Pack left %d words of spare capacity, want %d", rot, spare, decodeSlack)
-		}
-		pc, ac := p.NewCursor(), a.NewCursor()
+		g := Record(NewMemTrace(evs))
+		pc, gc := p.NewCursor(), g.NewCursor()
 		for step := 0; ; step++ {
-			budget := []int{1, 3, 4095, 4096, 4097, 9_999, 65_536}[step%7]
+			budget := []int{1, 3, 4095, 4096, 4097, 999, 12_345}[step%7]
 			pn, psys := pc.SkipScan(budget)
-			an, asys := ac.SkipScan(budget)
-			if pn != an || psys != asys || pc.w != ac.w || pc.wEv != ac.wEv {
-				t.Fatalf("rotation %d, SkipScan step %d (budget %d): Pack landed at (%d, %v, word %d, event %d), Append at (%d, %v, word %d, event %d)",
-					rot, step, budget, pn, psys, pc.w, pc.wEv, an, asys, ac.w, ac.wEv)
+			gn, gsys := gc.SkipScan(budget)
+			if pn != gn || psys != gsys || wordPos(pc) != wordPos(gc) || pc.ev != gc.ev {
+				t.Fatalf("rotation %d, SkipScan step %d (budget %d): Pack landed at (%d, %v, word %d, event %d), Record at (%d, %v, word %d, event %d)",
+					rot, step, budget, pn, psys, wordPos(pc), pc.ev, gn, gsys, wordPos(gc), gc.ev)
 			}
 			if pn == 0 {
 				break
+			}
+		}
+		pch, gch := sealed(p), sealed(g)
+		if len(pch) < 10 || len(pch) != len(gch) || p.Len() != n || g.Len() != n || p.Bytes() != g.Bytes() {
+			t.Fatalf("rotation %d: Pack has %d chunks, %d events, %d bytes; Record has %d, %d, %d",
+				rot, len(pch), p.Len(), p.Bytes(), len(gch), g.Len(), g.Bytes())
+		}
+		for i, a := range pch {
+			b := gch[i]
+			if a.ev0 != b.ev0 || a.n != b.n || !slices.Equal(a.words, b.words) || !slices.Equal(a.sys, b.sys) {
+				t.Fatalf("rotation %d, chunk %d: Pack has events %d+%d, %d words, syscalls %v; Record has %d+%d, %d, %v",
+					rot, i, a.ev0, a.n, len(a.words), a.sys, b.ev0, b.n, len(b.words), b.sys)
+			}
+			spare := cap(a.words) - len(a.words)
+			if i == len(pch)-1 && spare != decodeSlack || spare < decodeSlack || spare >= eventWords+decodeSlack && i < len(pch)-1 {
+				t.Errorf("rotation %d, chunk %d of %d: %d words of spare capacity", rot, i, len(pch), spare)
 			}
 		}
 	}

@@ -10,56 +10,38 @@ package trace
 // It returns the number of events consumed and whether the last one was
 // a syscall. n == 0 with max > 0 means the stream is exhausted.
 //
-// The scan uses the recording's skip index: the syscall event list
-// bounds how far the scan may run, whole skipIndexBlock strides are
-// jumped via the per-block word offsets, and only the sub-block residue
-// is walked word by word (tag-length arithmetic, no decode). Fast-forwarding a span therefore costs
-// O(log syscalls) plus at most one block of word hops, which is what
-// makes the skip phase of sampled simulation nearly free.
+// The scan goes a chunk at a time. Each chunk's syscall list bounds how
+// far the scan may run in it; a scan that consumes the rest of a chunk
+// jumps to its end, and only a stop inside a chunk walks words (by tag
+// length, no decode), at most one chunk of them. Fast-forwarding a span
+// therefore costs a few operations per chunk, which is what makes the
+// skip phase of sampled simulation nearly free.
 func (c *Cursor) SkipScan(max int) (int, bool) {
-	if max <= 0 || c.wEv >= c.r.n {
-		return 0, false
-	}
-	// Resolve where this scan must stop: after the budget, at stream
-	// end, or just past the next syscall, whichever is first.
-	target := c.wEv + min(max, c.r.n-c.wEv)
-	syscall := false
-	if s := c.r.nextSyscall(c.wEv); s >= 0 && s < target {
-		target = s + 1 // consume the syscall event itself
-		syscall = true
-	}
-	// Jump whole indexed blocks, then walk the residue by tag length.
-	// Everything from the pre-jump position through target is consumed,
-	// so count n from the position before the jump.
-	n := target - c.wEv
-	if jb := target / skipIndexBlock; jb*skipIndexBlock > c.wEv && jb < len(c.r.blockWord) {
-		c.w = c.r.blockWord[jb]
-		c.wEv = jb * skipIndexBlock
-	}
-	words := c.r.words
-	w := c.w
-	for e := c.wEv; e < target; e++ {
-		w += int(words[w]&3) + 1 // tag encodes length-1
-	}
-	c.w, c.wEv = w, target
-	return n, syscall
-}
-
-// nextSyscall returns the first syscall event index at or after from,
-// or -1 if there is none.
-func (r *Recorded) nextSyscall(from int) int {
-	s := r.sysEv
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < from {
-			lo = mid + 1
+	n := 0
+	for n < max && (c.w < len(c.words) || c.advance()) {
+		// Resolve where the scan stops in this chunk: after the budget,
+		// at the chunk's end, or just past its next syscall, whichever
+		// is first.
+		ch := c.ch
+		k := min(max-n, ch.end()-c.ev)
+		syscall := false
+		if s := ch.nextSyscall(c.ev); s >= 0 && s-c.ev < k {
+			k, syscall = s-c.ev+1, true // consume the syscall event itself
+		}
+		if c.ev+k == ch.end() {
+			c.w = len(c.words)
 		} else {
-			hi = mid
+			words, w := c.words, c.w
+			for i := 0; i < k; i++ {
+				w += int(words[w]&TagMask) + 1 // the tag is the event's length - 1
+			}
+			c.w = w
+		}
+		c.ev += k
+		n += k
+		if syscall {
+			return n, true
 		}
 	}
-	if lo == len(s) {
-		return -1
-	}
-	return s[lo]
+	return n, false
 }

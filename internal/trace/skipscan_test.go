@@ -146,12 +146,12 @@ func TestSkipScanSyscallStops(t *testing.T) {
 	}
 }
 
-// TestSkipScanBlockJumpCounts is a regression test for the index-jump
-// counting bug: when a scan's target lies whole skipIndexBlock strides
-// ahead, the cursor jumps via the per-block word offsets, and the event
-// count must be taken from the position *before* the jump. The traces
-// in the other tests are shorter than one index block (4096 events), so
-// only long syscall-free stretches exercise the jump at all.
+// TestSkipScanBlockJumpCounts is a regression test for the jump
+// counting bug: when a scan runs through the rest of a chunk, the cursor
+// jumps to the chunk's end, and the event count must be taken from the
+// position before the jump. The traces in the other tests fit in a few
+// chunks, so only long syscall-free stretches exercise many jumps in
+// one scan, and scans that start and end mid-chunk with jumps between.
 func TestSkipScanBlockJumpCounts(t *testing.T) {
 	const total = 50_000
 	evs := make([]Event, total)
@@ -163,7 +163,7 @@ func TestSkipScanBlockJumpCounts(t *testing.T) {
 		case 2:
 			ev.Kind, ev.Size, ev.Data = Load, 4, uint32(0x200000+8*(i%511))
 		}
-		// Sparse syscalls: several whole index blocks between stops.
+		// Sparse syscalls: several whole chunks between stops.
 		if i%15_000 == 14_999 {
 			ev.Syscall = true
 		}
@@ -171,7 +171,7 @@ func TestSkipScanBlockJumpCounts(t *testing.T) {
 	}
 	r := Pack(NewMemTrace(evs))
 
-	// One giant scan per syscall stretch: each spans 3+ index blocks.
+	// One giant scan per syscall stretch: each spans 3+ chunks.
 	c := r.NewCursor()
 	ref := NewMemTrace(evs)
 	for {
@@ -185,12 +185,12 @@ func TestSkipScanBlockJumpCounts(t *testing.T) {
 		}
 	}
 
-	// Chunked scans that start mid-block and end mid-block, with the
-	// jump in between; the resume point must stay exact throughout.
+	// Scans that start mid-chunk and end mid-chunk, with jumps in
+	// between; the resume point must stay exact throughout.
 	c = r.NewCursor()
 	ref = NewMemTrace(evs)
 	for chunk := 1; ; chunk++ {
-		max := 3_000 + 2_048*(chunk%3) // straddles block boundaries unevenly
+		max := 3_000 + 2_048*(chunk%3) // straddles chunk joins unevenly
 		gotN, gotSys := c.SkipScan(max)
 		wantN, wantSys := skipScanRef(ref, max)
 		if gotN != wantN || gotSys != wantSys {

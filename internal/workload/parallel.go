@@ -4,8 +4,8 @@ import "sync"
 
 // RunParallel runs jobs 0..n-1 on a bounded pool of goroutines, like
 // internal/harness's worker pool but for in-process index jobs: each
-// job packs one member's trace (Pack) or simulates one configuration of
-// an experiment sweep, and writes its result at its own index, so the
+// job simulates one configuration of an experiment sweep and writes its
+// result at its own index, so the
 // assembled output is in deterministic order no matter how the
 // goroutines interleave.
 //

@@ -1,18 +1,18 @@
 // Package workload assembles the multiprogramming suite that stands in
-// for the paper's Table 1: ten benchmark kernels emulated from MIPS
+// for the paper's Table 1: fourteen benchmark kernels emulated from MIPS
 // assembly (internal/progs) plus two calibrated synthetic traces
-// (internal/synth) covering the very long FORTRAN tapes. It records each
-// member once and replays the packed traces across many cache
-// configurations — the equivalent of re-reading pixie trace tapes. The
-// live streams it also hands out are for packing: the scheduler steps
-// packed cursors only.
+// (internal/synth) covering the very long FORTRAN tapes, sixteen
+// members in all. It records each member once and replays the packed
+// traces across many cache configurations — the equivalent of
+// re-reading pixie trace tapes. A recording grows as its cursors read
+// it (trace.Record), so a member is emulated only when a run first
+// admits it and only as far as any run has read: a capped run records a
+// prefix of each member it reaches, and a member's emulator fault fails
+// the run that reaches it, naming the member.
 package workload
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/progs"
@@ -92,24 +92,13 @@ func Members() []Member {
 	return members
 }
 
-// Processes returns fresh live streams for every member, to be packed
-// (trace.Pack) before sched.Run. Each call re-emulates the benchmarks.
-func Processes(scale int) []sched.Process {
-	members := Members()
-	procs := make([]sched.Process, len(members))
-	for i, m := range members {
-		procs[i] = sched.Process{Name: m.Name, Stream: m.NewStream(scale)}
-	}
-	return procs
-}
-
 // PaperLike returns n synthetic members calibrated to the reference
 // ratios the paper reports for its workload: ~20% loads, 7.25% stores,
 // a ~3.5% L1-D miss ratio in a 4 KW cache (98% write hits), and a small
 // L2 miss ratio. Each member's stream runs instructions × scale
 // instructions. Experiments that depend quantitatively on those ratios
 // (the Fig. 5 write-policy crossover) are validated against this
-// workload as well as the harsher kernel suite; RecordPaperLike packs
+// workload as well as the harsher kernel suite; RecordPaperLike records
 // it for the scheduler.
 func PaperLike(n int, instructions uint64) []Member {
 	members := make([]Member, n)
@@ -138,49 +127,15 @@ func PaperLike(n int, instructions uint64) []Member {
 }
 
 // Recorded is a suite member's captured trace in the packed
-// representation, replayable any number of times. The trace is
-// immutable and shared: every replayer takes its own cursor
+// representation, replayable any number of times. The trace is shared
+// and grows on demand: every replayer takes its own cursor
 // (Trace.NewCursor), so one recorded suite can feed any number of
-// concurrently simulated configurations.
+// concurrently simulated configurations, and together they record only
+// the prefix of each member that the furthest of them reads.
 type Recorded struct {
 	Name  string
 	Class progs.Class
 	Trace *trace.Recorded
-}
-
-// Pack records each member's trace at the given scale and returns the
-// recordings in members' order. Members are independent streams, so up
-// to GOMAXPROCS of them pack at once, each into its own index: the
-// result is the one packing them in turn would give. With max > 0 each
-// member is recorded only up to max events, which a run capped at max
-// instructions cannot tell apart from the whole recording, since no
-// process runs more instructions than the run does.
-//
-// A member's stream fails (an emulator fault, its step limit) here,
-// where it is packed, because the scheduler steps packed cursors and a
-// cursor cannot fail: the error names each failed member with the
-// number of events it produced, and no recording is returned.
-func Pack(members []Member, scale int, max uint64) ([]Recorded, error) {
-	rs := make([]Recorded, len(members))
-	errs := make([]error, len(members))
-	RunParallel(runtime.GOMAXPROCS(0), len(members), func(i int) {
-		m := members[i]
-		s := m.NewStream(scale)
-		src := s
-		if max > 0 {
-			src = trace.Limit(s, int(min(max, math.MaxInt)))
-		}
-		rec := trace.Pack(src)
-		if err := trace.StreamErr(s); err != nil {
-			errs[i] = fmt.Errorf("member %q: trace stream after %d instructions: %w", m.Name, rec.Len(), err)
-			return
-		}
-		rs[i] = Recorded{Name: m.Name, Class: m.Class, Trace: rec}
-	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return rs, nil
 }
 
 // recordKey names one memoized recording: the kernel suite at a scale,
@@ -191,82 +146,57 @@ type recordKey struct {
 	perProc uint64
 }
 
-// recordEntry memoizes one recording. The once gate means concurrent
-// first callers share a single packing pass (and later callers pay
-// only the map lookup), while different keys record independently
-// without serializing on a global lock.
-type recordEntry struct {
-	once sync.Once
-	rs   []Recorded
-	err  error
-}
-
 var (
-	recordMu    sync.Mutex // guards the map only, never held while recording
-	recordCache = map[recordKey]*recordEntry{}
+	recordMu    sync.Mutex
+	recordCache = map[recordKey][]Recorded{}
 )
 
-// errPackPanicked is what every call after the first reports for a
-// recording whose packing panicked: once counts a panicking function as
-// done, and the recording it left is empty.
-var errPackPanicked = errors.New("workload: packing the recording panicked")
-
-// recorded returns key's recording, packing it with pack on the first
-// call.
-func recorded(key recordKey, pack func() ([]Recorded, error)) []Recorded {
+// recorded returns key's recordings, creating them from members() at
+// scale on the first call. Creating them starts each member's source
+// and encodes nothing, so it is cheap enough to hold the lock through.
+func recorded(key recordKey, members func() []Member, scale int) []Recorded {
 	recordMu.Lock()
-	e, ok := recordCache[key]
+	defer recordMu.Unlock()
+	rs, ok := recordCache[key]
 	if !ok {
-		e = &recordEntry{}
-		recordCache[key] = e
+		rs = record(members(), scale)
+		recordCache[key] = rs
 	}
-	recordMu.Unlock()
-	return e.get(pack)
+	return rs
 }
 
-// get returns the entry's recording, packing it with pack on the first
-// call. A failed packing is memoized as its error, never as a short
-// recording, and every call panics with that error: Record's callers
-// have no error path, and the run harness (internal/harness) turns the
-// panic into a structured failure, as it does for experiments' must.
-func (e *recordEntry) get(pack func() ([]Recorded, error)) []Recorded {
-	e.once.Do(func() {
-		e.err = errPackPanicked // replaced unless pack panics
-		e.rs, e.err = pack()
-	})
-	if e.err != nil {
-		panic(e.err)
+// record returns fresh recordings of members at scale, in their order,
+// each growing on demand from a new stream of its member.
+func record(members []Member, scale int) []Recorded {
+	rs := make([]Recorded, len(members))
+	for i, m := range members {
+		rs[i] = Recorded{Name: m.Name, Class: m.Class, Trace: trace.Record(m.NewStream(scale))}
 	}
-	return e.rs
+	return rs
 }
 
-// Record captures every member's full trace at the given scale. Results
-// are memoized per scale and safe for concurrent callers: the returned
-// slice and its traces are shared and immutable, so callers must only
-// replay via cursors (which ReplayProcesses does). A member that fails
-// to record panics every call with Pack's error.
+// Record returns the suite's recordings at the given scale, memoized
+// per scale and safe for concurrent callers. The returned slice and its
+// traces are shared, so callers must only replay via cursors (which
+// ReplayProcesses does). The traces grow as cursors read them, so the
+// call itself emulates nothing.
 func Record(scale int) []Recorded {
 	if scale < 1 {
 		scale = 1
 	}
-	return recorded(recordKey{scale: scale}, func() ([]Recorded, error) {
-		return Pack(Members(), scale, 0)
-	})
+	return recorded(recordKey{scale: scale}, Members, scale)
 }
 
-// RecordPaperLike captures the paper-calibrated synthetic workload
-// (see PaperLike) in packed form, memoized per (n, perProc) with the
-// same contract as Record: the returned traces are immutable and must
-// be replayed via cursors. The one-pass screening engine and its exact
+// RecordPaperLike returns the recordings of the paper-calibrated
+// synthetic workload (see PaperLike), memoized per (n, perProc) with the
+// same contract as Record. The one-pass screening engine and its exact
 // cross-validation both replay this recording, so analyzer and
 // simulator see bit-identical event streams.
 func RecordPaperLike(n int, perProc uint64) []Recorded {
 	if n < 1 {
 		n = 1
 	}
-	return recorded(recordKey{n: n, perProc: perProc}, func() ([]Recorded, error) {
-		return Pack(PaperLike(n, perProc), 1, 0)
-	})
+	return recorded(recordKey{n: n, perProc: perProc}, func() []Member { return PaperLike(n, perProc) }, 1)
 }
 
 // ReplayProcesses returns scheduler processes that replay recorded
@@ -288,13 +218,18 @@ type Row struct {
 }
 
 // Table1 characterizes every recorded member, reproducing the columns
-// of the paper's Table 1.
-func Table1(recorded []Recorded) []Row {
+// of the paper's Table 1. It reads each trace to its end, and fails
+// with the member's name if its source failed on the way.
+func Table1(recorded []Recorded) ([]Row, error) {
 	rows := make([]Row, len(recorded))
 	for i, r := range recorded {
-		rows[i] = Row{Name: r.Name, Class: r.Class, Char: trace.Characterize(r.Trace.NewCursor())}
+		c := r.Trace.NewCursor()
+		rows[i] = Row{Name: r.Name, Class: r.Class, Char: trace.Characterize(c)}
+		if err := c.Err(); err != nil {
+			return nil, fmt.Errorf("workload: member %q: %w", r.Name, err)
+		}
 	}
-	return rows
+	return rows, nil
 }
 
 // FormatTable1 renders rows like the paper's Table 1.
