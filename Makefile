@@ -37,8 +37,10 @@ bench:
 		-sha "$$sha" -o "BENCH_$$(date +%Y-%m-%d)-$$sha.json"
 
 # lint: the repo-specific cachelint suite (internal/lint): nopanic,
-# errwrap, determinism, exhaustive, statscoverage. Non-zero exit on any
-# finding; see README.md for the //lint:allow escape hatch.
+# errwrap, determinism, exhaustive, statscoverage, lockscope,
+# goroutinelife, ctxflow, closeall and keystable (`cachelint -list`
+# describes each). Non-zero exit on any finding; see README.md for the
+# //lint:allow escape hatch.
 lint:
 	$(GO) run ./cmd/cachelint ./...
 

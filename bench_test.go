@@ -74,7 +74,7 @@ func BenchmarkFig4BaseBreakdown(b *testing.B) {
 func BenchmarkFig5WritePolicy(b *testing.B) {
 	var rows []experiments.Fig5Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig5(benchOpt)
+		rows = experiments.Fig5(benchOpt, experiments.KernelSuite)
 	}
 	b.ReportMetric(float64(len(rows)), "configs")
 }
@@ -86,7 +86,7 @@ func BenchmarkFig5WritePolicyParallel(b *testing.B) {
 	b.ResetTimer()
 	var rows []experiments.Fig5Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig5(benchParOpt)
+		rows = experiments.Fig5(benchParOpt, experiments.KernelSuite)
 	}
 	b.ReportMetric(float64(len(rows)), "configs")
 }
@@ -94,7 +94,7 @@ func BenchmarkFig5WritePolicyParallel(b *testing.B) {
 func BenchmarkFig5WritePolicyCalibrated(b *testing.B) {
 	var cross int
 	for i := 0; i < b.N; i++ {
-		cross = experiments.Fig5Crossover(experiments.Fig5Calibrated(experiments.Options{}))
+		cross = experiments.Fig5Crossover(experiments.Fig5(experiments.Options{}, experiments.PaperCalibrated))
 	}
 	b.ReportMetric(float64(cross), "crossover-cycles")
 }
@@ -102,7 +102,7 @@ func BenchmarkFig5WritePolicyCalibrated(b *testing.B) {
 func BenchmarkFig6L2Organization(b *testing.B) {
 	var rows []experiments.Fig6Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig6(benchOpt)
+		rows = experiments.Fig6(benchOpt, experiments.KernelSuite)
 	}
 	b.ReportMetric(float64(len(rows)), "configs")
 }
@@ -115,7 +115,7 @@ func BenchmarkFig6L2OrganizationParallel(b *testing.B) {
 	b.ResetTimer()
 	var rows []experiments.Fig6Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig6(benchParOpt)
+		rows = experiments.Fig6(benchParOpt, experiments.KernelSuite)
 	}
 	b.ReportMetric(float64(len(rows)), "configs")
 }
@@ -123,7 +123,7 @@ func BenchmarkFig6L2OrganizationParallel(b *testing.B) {
 func BenchmarkTable2L2MissRatio(b *testing.B) {
 	var rows []experiments.Fig6Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig6Calibrated(experiments.Options{MaxInstructions: 400_000})
+		rows = experiments.Fig6(experiments.Options{MaxInstructions: 400_000}, experiments.PaperCalibrated)
 	}
 	u, _ := experiments.Fig6At(rows, 1024*1024, experiments.L2Org{Split: false, Ways: 1})
 	b.ReportMetric(u.MissRatio, "missratio@1024K")
@@ -156,7 +156,7 @@ func BenchmarkFig9Optimizations(b *testing.B) {
 func BenchmarkFig10Concurrency(b *testing.B) {
 	var rows []experiments.StageRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig10(benchOpt)
+		rows = experiments.Fig10(benchOpt, experiments.KernelSuite)
 	}
 	b.ReportMetric(rows[len(rows)-1].CPI, "CPI-final")
 }
@@ -192,7 +192,7 @@ func BenchmarkExactGridConfigByConfig(b *testing.B) {
 	var rows []experiments.Fig6Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = experiments.ExactGrid(benchOpt)
+		rows = experiments.Fig6(benchOpt, experiments.PaperCalibrated)
 	}
 	b.StopTimer()
 	if len(rows) == 0 {

@@ -114,7 +114,6 @@ func run() error {
 		brkFails   = flag.Int("breaker-threshold", 8, "consecutive failures that open the circuit breaker (-1 disables)")
 		brkCool    = flag.Duration("breaker-cooldown", 2*time.Second, "how long an open breaker fails fast before probing")
 		mixFlag    = flag.String("fidelity-mix", "", `fidelity traffic mix, e.g. "exact=0.5,screening=0.3,sampled=0.2" (weights renormalized; empty = exact only)`)
-		screening  = flag.Bool("screening", false, `deprecated alias for -fidelity-mix "exact=0.5,screening=0.5"`)
 	)
 	flag.Parse()
 	switch {
@@ -135,12 +134,6 @@ func run() error {
 	// universe. Distinct fidelities are distinct cache keys, so the
 	// daemon's cache holds the populations side by side.
 	mix := []fidWeight{{service.FidelityExact, 1}}
-	if *screening && *mixFlag != "" {
-		return fmt.Errorf("-screening is a deprecated alias for -fidelity-mix; give only one")
-	}
-	if *screening {
-		*mixFlag = "exact=0.5,screening=0.5"
-	}
 	if *mixFlag != "" {
 		var err error
 		if mix, err = parseFidelityMix(*mixFlag); err != nil {

@@ -101,14 +101,27 @@ func TestRefusalsNameServedIDs(t *testing.T) {
 // elapsed matches the wall time a result header ends with.
 var elapsed = regexp.MustCompile(`(?m)^(== .*) \([0-9.]+s\)$`)
 
-// TestCompareFig7PrintsDeltas pins `-compare` on fig7: the screening
-// minus exact speed-size table over the same recording.
-func TestCompareFig7PrintsDeltas(t *testing.T) {
-	out, errOut, code := runSweep(t, "-compare", "-exp", "fig7", "-max", "100000")
+// comparePrintsDeltas pins `-compare -exp id -max 100000` against
+// testdata/compare_<id>.golden, wall times stripped.
+func comparePrintsDeltas(t *testing.T, id string) {
+	t.Helper()
+	out, errOut, code := runSweep(t, "-compare", "-exp", id, "-max", "100000")
 	if code != 0 || errOut != "" {
 		t.Fatalf("exit %d, stderr %q", code, errOut)
 	}
-	if got, want := elapsed.ReplaceAllString(out, "$1"), golden(t, "compare_fig7.golden"); got != want {
-		t.Errorf("-compare -exp fig7:\n%s\nwant:\n%s", got, want)
+	if got, want := elapsed.ReplaceAllString(out, "$1"), golden(t, "compare_"+id+".golden"); got != want {
+		t.Errorf("-compare -exp %s:\n%s\nwant:\n%s", id, got, want)
 	}
 }
+
+// TestCompareFig6PrintsDeltas pins `-compare` on fig6: screening
+// against exact at every grid point of the paper-calibrated recording.
+func TestCompareFig6PrintsDeltas(t *testing.T) { comparePrintsDeltas(t, "fig6") }
+
+// TestCompareFig7PrintsDeltas pins `-compare` on fig7: the screening
+// minus exact speed-size table over the same recording.
+func TestCompareFig7PrintsDeltas(t *testing.T) { comparePrintsDeltas(t, "fig7") }
+
+// TestCompareFig8PrintsDeltas pins `-compare` on fig8, the data side of
+// fig7's table.
+func TestCompareFig8PrintsDeltas(t *testing.T) { comparePrintsDeltas(t, "fig8") }

@@ -31,7 +31,7 @@ func AblationWBDepth(o Options) []AblationRow {
 
 // ablationRow simulates one labeled configuration of an ablation study.
 func ablationRow(label string, cfg core.Config, o Options) AblationRow {
-	st := run(cfg, o).Stats
+	st := run(cfg, o, KernelSuite).Stats
 	return AblationRow{
 		Label:  label,
 		CPI:    st.CPI(),

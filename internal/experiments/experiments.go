@@ -74,14 +74,14 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// must unwraps a simulation run whose configuration is a table-driven
-// variant of the validated base architectures, or the workload's
-// characterization. Such a run can still fail (a bad derived geometry,
-// a failed self-check, a member whose emulator faults); the experiment
-// row builders have no error path, so the failure is raised as a panic,
-// which the sweep harness (internal/harness) converts back into a
-// structured RunError rather than killing the whole sweep. This is the
-// one sanctioned panic path in the experiments package.
+// must unwraps a simulation run or screening pass whose configuration
+// is a table-driven variant of the validated base architectures, or the
+// workload's characterization. Such a run can still fail (a bad derived
+// geometry, a failed self-check, a member whose emulator faults); the
+// experiment row builders have no error path, so the failure is raised
+// as a panic, which the sweep harness (internal/harness) converts back
+// into a structured RunError rather than killing the whole sweep. This
+// is the one sanctioned panic path in the experiments package.
 func must[T any](res T, err error) T {
 	if err != nil {
 		panic(fmt.Errorf("experiments: %w", err))
@@ -89,36 +89,47 @@ func must[T any](res T, err error) T {
 	return res
 }
 
-// run simulates the recorded workload on cfg under o.
-func run(cfg core.Config, o Options) sim.Result {
-	rec := workload.Record(o.Scale)
-	cfg.SelfCheck = o.SelfCheck
-	return must(sim.Run(cfg, workload.ReplayProcesses(rec), sched.Config{
-		Level:           o.Level,
-		TimeSlice:       o.TimeSlice,
-		MaxInstructions: o.MaxInstructions,
-	}))
+// schedConfig is the scheduler configuration o sets for every run.
+func (o Options) schedConfig() sched.Config {
+	return sched.Config{Level: o.Level, TimeSlice: o.TimeSlice, MaxInstructions: o.MaxInstructions}
 }
 
-// paperRecording is the recording of the paper-calibrated synthetic
-// workload (workload.PaperLike) at o's level and scale: 400k
-// instructions per process at scale 1. Exact and screening runs over
-// that workload replay it.
-func paperRecording(o Options) []workload.Recorded {
-	return workload.RecordPaperLike(o.Level, uint64(400_000)*uint64(o.Scale))
+// Workload is one traced workload a sweep replays: its label and the
+// recording it replays under given options. KernelSuite and
+// PaperCalibrated are its only valid values.
+type Workload struct {
+	Label string
+	// record returns the recording at o, which must be normalized.
+	record func(o Options) []workload.Recorded
 }
 
-// runPaperLike simulates the paper-calibrated synthetic workload on cfg
-// under o, replaying the recording that screening replays for the same
-// level and scale.
-func runPaperLike(cfg core.Config, o Options) sim.Result {
-	rec := paperRecording(o)
+// The two workloads of DESIGN.md §2. KernelSuite is the recorded
+// benchmark suite (workload.Record) at o's scale. PaperCalibrated is
+// the paper-calibrated synthetic workload (workload.PaperLike) at o's
+// level and scale, 400k instructions per process at scale 1: claims
+// that hinge on the paper's miss ratios run on it and are contrasted on
+// the kernel suite. Exact, screening and sampled runs over a workload
+// replay the same recording.
+var (
+	KernelSuite = Workload{Label: "kernel suite", record: func(o Options) []workload.Recorded {
+		return workload.Record(o.Scale)
+	}}
+	PaperCalibrated = Workload{Label: "paper-calibrated workload", record: func(o Options) []workload.Recorded {
+		return workload.RecordPaperLike(o.Level, uint64(400_000)*uint64(o.Scale))
+	}}
+)
+
+// bothWorkloads renders table once per workload under the workload's
+// label, the kernel suite first.
+func bothWorkloads(table func(w Workload) string) string {
+	return KernelSuite.Label + ":\n" + table(KernelSuite) +
+		"\n" + PaperCalibrated.Label + ":\n" + table(PaperCalibrated)
+}
+
+// run simulates w on cfg under o.
+func run(cfg core.Config, o Options, w Workload) sim.Result {
 	cfg.SelfCheck = o.SelfCheck
-	return must(sim.Run(cfg, workload.ReplayProcesses(rec), sched.Config{
-		Level:           o.Level,
-		TimeSlice:       o.TimeSlice,
-		MaxInstructions: o.MaxInstructions,
-	}))
+	return must(sim.Run(cfg, workload.ReplayProcesses(w.record(o)), o.schedConfig()))
 }
 
 // baseConfig is the paper's Section 2 baseline.
@@ -195,8 +206,8 @@ var registry = []Experiment{
 	{
 		ID: "fig5", Title: "Fig. 5: write policy vs L2 access time",
 		Run: func(o Options) string {
-			kernel := Fig5(o)
-			calibrated := Fig5Calibrated(o)
+			kernel := Fig5(o, KernelSuite)
+			calibrated := Fig5(o, PaperCalibrated)
 			return "kernel suite:\n" + FormatFig5(kernel) +
 				fmt.Sprintf("write-back first wins at access time: %d (0 = never)\n\n", Fig5Crossover(kernel)) +
 				"paper-calibrated workload (~3.5%% L1-D miss, 98%% write hits):\n" + FormatFig5(calibrated) +
@@ -207,12 +218,10 @@ var registry = []Experiment{
 	{
 		ID: "fig6", Title: "Fig. 6: L2 sizes and organizations",
 		Run: func(o Options) string {
-			return "kernel suite:\n" + FormatFig6(Fig6(o)) +
-				"\npaper-calibrated workload:\n" + FormatFig6(Fig6Calibrated(o))
+			return bothWorkloads(func(w Workload) string { return FormatFig6(Fig6(o, w)) })
 		},
 		Screening: func(o Options, cs stackdist.ClassSet) string {
-			return "kernel suite:\nestimated " + FormatFig6(screenSuite(o, cs).Grid) +
-				"\npaper-calibrated workload:\nestimated " + FormatFig6(screenPaper(o, cs).Grid)
+			return bothWorkloads(func(w Workload) string { return "estimated " + FormatFig6(screen(o, w, cs).Grid) })
 		},
 		Classes: l2Views,
 		Compare: compareGrid,
@@ -221,12 +230,10 @@ var registry = []Experiment{
 	{
 		ID: "table2", Title: "Table 2: L2 miss ratios",
 		Run: func(o Options) string {
-			return "kernel suite:\n" + FormatTable2(Fig6(o)) +
-				"\npaper-calibrated workload:\n" + FormatTable2(Fig6Calibrated(o))
+			return bothWorkloads(func(w Workload) string { return FormatTable2(Fig6(o, w)) })
 		},
 		Screening: func(o Options, cs stackdist.ClassSet) string {
-			return "kernel suite:\n" + FormatTable2(screenSuite(o, cs).Grid) +
-				"\npaper-calibrated workload:\n" + FormatTable2(screenPaper(o, cs).Grid)
+			return bothWorkloads(func(w Workload) string { return FormatTable2(screen(o, w, cs).Grid) })
 		},
 		Classes: l2Views,
 		Compare: compareGrid,
@@ -236,33 +243,31 @@ var registry = []Experiment{
 		ID: "fig7", Title: "Fig. 7: L2-I speed-size trade-off",
 		Run: func(o Options) string { return FormatSpeedSize("L2-I", Fig7(o)) },
 		Screening: func(o Options, cs stackdist.ClassSet) string {
-			return FormatSpeedSize("L2-I (screening)", screenSuite(o, cs).Fig7)
+			return FormatSpeedSize("L2-I (screening)", screen(o, KernelSuite, cs).Fig7)
 		},
 		Classes: stackdist.ClassesOf(stackdist.ClassL2I),
-		Compare: func(o Options) string { return compareSpeedSize("L2-I", FastSweepSuite(o).Fig7, Fig7(o)) },
+		Compare: func(o Options) string { return compareSpeedSize("L2-I", screen(o, KernelSuite, 0).Fig7, Fig7(o)) },
 	},
 	{
 		ID: "fig8", Title: "Fig. 8: L2-D speed-size trade-off",
 		Run: func(o Options) string { return FormatSpeedSize("L2-D", Fig8(o)) },
 		Screening: func(o Options, cs stackdist.ClassSet) string {
-			return FormatSpeedSize("L2-D (screening)", screenSuite(o, cs).Fig8)
+			return FormatSpeedSize("L2-D (screening)", screen(o, KernelSuite, cs).Fig8)
 		},
 		Classes: stackdist.ClassesOf(stackdist.ClassL2D),
-		Compare: func(o Options) string { return compareSpeedSize("L2-D", FastSweepSuite(o).Fig8, Fig8(o)) },
+		Compare: func(o Options) string { return compareSpeedSize("L2-D", screen(o, KernelSuite, 0).Fig8, Fig8(o)) },
 	},
 	{ID: "fig9", Title: "Fig. 9: split L2 and fetch-size optimizations", Run: func(o Options) string {
 		return FormatStages(Fig9(o))
 	}},
 	{ID: "fig10", Title: "Fig. 10: memory system concurrency", Run: func(o Options) string {
-		return "kernel suite:\n" + FormatStages(Fig10(o)) +
-			"\npaper-calibrated workload:\n" + FormatStages(Fig10Calibrated(o))
+		return bothWorkloads(func(w Workload) string { return FormatStages(Fig10(o, w)) })
 	}},
 	{ID: "sec5", Title: "Section 5: primary cache size vs cycle time", Run: func(o Options) string {
 		return FormatSec5(Sec5L1Size(o))
 	}},
 	{ID: "fetchsize", Title: "Section 8: L1 fetch/line size", Run: func(o Options) string {
-		return "kernel suite:\n" + FormatFetch(Sec8FetchSize(o)) +
-			"\npaper-calibrated workload:\n" + FormatFetch(Sec8FetchSizeCalibrated(o))
+		return bothWorkloads(func(w Workload) string { return FormatFetch(Sec8FetchSize(o, w)) })
 	}},
 	{ID: "ablate-wb", Title: "Ablation: write buffer depth and drain overlap", Run: func(o Options) string {
 		return FormatAblation(AblationWBDepth(o)) + "\n" + FormatAblation(AblationWBOverlap(o))
@@ -293,7 +298,7 @@ var registry = []Experiment{
 				"\ncross-validation (top 3 by estimated CPI, exact simulator):\n" +
 				FormatValidation(FastSweepValidate(o, fs, 3))
 		},
-		Screening: func(o Options, cs stackdist.ClassSet) string { return FormatFastSweep(screenPaper(o, cs)) },
+		Screening: func(o Options, cs stackdist.ClassSet) string { return FormatFastSweep(screen(o, PaperCalibrated, cs)) },
 		Compare:   compareGrid,
 	},
 }
@@ -387,7 +392,7 @@ func RunFidelity(id string, o Options) (string, error) {
 // Table1 formats the workload characterization.
 func Table1(o Options) string {
 	o = o.normalized()
-	return workload.FormatTable1(must(workload.Table1(workload.Record(o.Scale))))
+	return workload.FormatTable1(must(workload.Table1(KernelSuite.record(o))))
 }
 
 // kwLabel formats a size in words as the paper writes it (16K, 1024K).

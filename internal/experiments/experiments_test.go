@@ -123,7 +123,7 @@ func TestFig5CalibratedShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20-config sweep")
 	}
-	rows := Fig5Calibrated(Options{})
+	rows := Fig5(Options{}, PaperCalibrated)
 	at := func(p int, t_ int) float64 {
 		for _, r := range rows {
 			if int(r.Policy) == p && r.AccessTime == t_ {
@@ -161,7 +161,7 @@ func TestFig5KernelSuiteOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20-config sweep")
 	}
-	rows := Fig5(Options{MaxInstructions: 2_000_000})
+	rows := Fig5(Options{MaxInstructions: 2_000_000}, KernelSuite)
 	// Even on the harsher suite, write-only must beat
 	// write-miss-invalidate (its subsequent writes hit).
 	byKey := map[[2]int]float64{}
@@ -181,7 +181,7 @@ func TestFig6CalibratedSplitWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("28-config sweep")
 	}
-	rows := Fig6Calibrated(Options{})
+	rows := Fig6(Options{}, PaperCalibrated)
 	u1 := L2Org{Split: false, Ways: 1}
 	s1 := L2Org{Split: true, Ways: 1}
 	// The paper: splitting improves direct-mapped caches of 64 KW and
@@ -276,7 +276,7 @@ func TestFig10CalibratedStages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("5-config sweep")
 	}
-	rows := Fig10Calibrated(Options{})
+	rows := Fig10(Options{}, PaperCalibrated)
 	if len(rows) != 5 {
 		t.Fatalf("fig10 has %d rows", len(rows))
 	}

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/stackdist"
 	"repro/internal/workload"
 )
@@ -58,9 +56,8 @@ type L1Point struct {
 // FastSweepResult is one screening pass over one workload: the raw
 // analyzer result plus the derived paper-shaped tables.
 type FastSweepResult struct {
-	// Workload labels the traced workload ("kernel suite" or
-	// "paper-calibrated workload").
-	Workload string
+	// Workload is the workload the pass analyzed.
+	Workload Workload
 	// Res is the raw one-pass result (histograms, filter counts).
 	Res *stackdist.Result
 	// L1I and L1D are the primary-cache miss-ratio curves.
@@ -73,47 +70,19 @@ type FastSweepResult struct {
 	Fig7, Fig8 []SpeedSizeRow
 }
 
-// mustAnalyze unwraps an analyzer pass like must unwraps a simulation:
-// a failure panics into the harness's structured-error recovery.
-func mustAnalyze(res *stackdist.Result, _ sched.Result, err error) *stackdist.Result {
-	if err != nil {
-		panic(fmt.Errorf("experiments: %w", err))
-	}
-	return res
-}
-
 // FastSweep screens the design space over the paper-calibrated
 // workload: one pass, every grid point of ScreeningGrid.
-func FastSweep(o Options) *FastSweepResult { return screenPaper(o, 0) }
+func FastSweep(o Options) *FastSweepResult { return screen(o, PaperCalibrated, 0) }
 
-// FastSweepSuite screens over the recorded kernel suite — the workload
-// the exact Fig. 7/8 sweeps run — so screening and exact speed-size
-// tables are directly comparable.
-func FastSweepSuite(o Options) *FastSweepResult { return screenSuite(o, 0) }
-
-// screenPaper is FastSweep analyzing only the given classes (zero: all).
-// The tables of unselected classes come out empty.
-func screenPaper(o Options, classes stackdist.ClassSet) *FastSweepResult {
+// screen is one screening pass over w analyzing only the given classes
+// (zero: all). The tables of unselected classes come out empty.
+func screen(o Options, w Workload, classes stackdist.ClassSet) *FastSweepResult {
 	o = o.normalized()
-	rec := paperRecording(o)
-	return fastSweepOver("paper-calibrated workload", rec, o, classes)
-}
-
-// screenSuite is FastSweepSuite analyzing only the given classes.
-func screenSuite(o Options, classes stackdist.ClassSet) *FastSweepResult {
-	o = o.normalized()
-	return fastSweepOver("kernel suite", workload.Record(o.Scale), o, classes)
-}
-
-func fastSweepOver(label string, rec []workload.Recorded, o Options, classes stackdist.ClassSet) *FastSweepResult {
 	grid := ScreeningGrid()
 	grid.Classes = classes
-	res := mustAnalyze(stackdist.Analyze(grid, workload.ReplayProcesses(rec), sched.Config{
-		Level:           o.Level,
-		TimeSlice:       o.TimeSlice,
-		MaxInstructions: o.MaxInstructions,
-	}))
-	fs := &FastSweepResult{Workload: label, Res: res}
+	res, _, err := stackdist.Analyze(grid, workload.ReplayProcesses(w.record(o)), o.schedConfig())
+	res = must(res, err)
+	fs := &FastSweepResult{Workload: w, Res: res}
 	for _, size := range grid.L1I.SizesWords {
 		for _, ways := range grid.L1I.Ways {
 			if mr, ok := res.Class(stackdist.ClassL1I).MissRatio(size, ways); ok {
@@ -208,47 +177,10 @@ func FastSweepValidate(o Options, fs *FastSweepResult, k int) []ValidationRow {
 	if k > len(ranked) {
 		k = len(ranked)
 	}
-	rec := validationRecording(fs, o)
 	return sweep(o, k, func(i int) ValidationRow {
 		row := ranked[i]
-		cfg := fig6Config(row.SizeWords, row.Org)
-		cfg.SelfCheck = o.SelfCheck
-		st := must(sim.Run(cfg, workload.ReplayProcesses(rec), sched.Config{
-			Level:           o.Level,
-			TimeSlice:       o.TimeSlice,
-			MaxInstructions: o.MaxInstructions,
-		})).Stats
+		st := run(fig6Config(row.SizeWords, row.Org), o, fs.Workload).Stats
 		return ValidationRow{Row: row, ExactCPI: st.CPI(), ExactMissRatio: st.L2MissRatio()}
-	})
-}
-
-// validationRecording returns the recording a pass analyzed.
-func validationRecording(fs *FastSweepResult, o Options) []workload.Recorded {
-	if fs.Workload == "kernel suite" {
-		return workload.Record(o.Scale)
-	}
-	return paperRecording(o)
-}
-
-// ExactGrid replays the full Fig. 6 grid config-by-config on the
-// recorded paper-calibrated workload — the same references FastSweep
-// analyzes in one pass. It exists for the one-pass speedup benchmark
-// and for `sweep -compare`, where the apples-to-apples baseline must
-// replay identical traces rather than regenerate them.
-func ExactGrid(o Options) []Fig6Row {
-	o = o.normalized()
-	rec := paperRecording(o)
-	return sweep(o, len(Fig6Sizes)*len(Fig6Orgs), func(i int) Fig6Row {
-		size := Fig6Sizes[i/len(Fig6Orgs)]
-		org := Fig6Orgs[i%len(Fig6Orgs)]
-		cfg := fig6Config(size, org)
-		cfg.SelfCheck = o.SelfCheck
-		st := must(sim.Run(cfg, workload.ReplayProcesses(rec), sched.Config{
-			Level:           o.Level,
-			TimeSlice:       o.TimeSlice,
-			MaxInstructions: o.MaxInstructions,
-		})).Stats
-		return Fig6Row{SizeWords: size, Org: org, CPI: st.CPI(), MissRatio: st.L2MissRatio()}
 	})
 }
 
@@ -286,7 +218,7 @@ func FormatL1Curves(side string, points []L1Point) string {
 func FormatFastSweep(fs *FastSweepResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "one-pass screening, %s (%d instructions, one replay)\n\n",
-		fs.Workload, fs.Res.Instructions)
+		fs.Workload.Label, fs.Res.Instructions)
 	b.WriteString(FormatL1Curves("L1-I", fs.L1I))
 	b.WriteString("\n")
 	b.WriteString(FormatL1Curves("L1-D", fs.L1D))
@@ -316,7 +248,7 @@ func compareGrid(o Options) string {
 	fs := FastSweep(o)
 	rows := FastSweepValidate(o, fs, len(fs.Grid))
 	return fmt.Sprintf("screening vs exact, %s (%d grid points, one pass vs one run each):\n",
-		fs.Workload, len(rows)) + FormatValidation(rows)
+		fs.Workload.Label, len(rows)) + FormatValidation(rows)
 }
 
 // compareSpeedSize renders screening minus exact CPI contributions.

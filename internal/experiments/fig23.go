@@ -23,7 +23,7 @@ func Fig2(o Options) []Fig2Row {
 	return sweep(o, len(levels), func(i int) Fig2Row {
 		lo := o
 		lo.Level = levels[i]
-		st := run(baseConfig(), lo).Stats
+		st := run(baseConfig(), lo, KernelSuite).Stats
 		return Fig2Row{
 			Level:   levels[i],
 			L1IMiss: st.L1IMissRatio(),
@@ -62,7 +62,7 @@ func Fig3(o Options) []Fig3Row {
 	return sweep(o, len(slices), func(i int) Fig3Row {
 		so := o
 		so.TimeSlice = slices[i]
-		st := run(baseConfig(), so).Stats
+		st := run(baseConfig(), so, KernelSuite).Stats
 		return Fig3Row{
 			TimeSlice: slices[i],
 			L1IMiss:   st.L1IMissRatio(),

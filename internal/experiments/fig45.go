@@ -24,8 +24,7 @@ type CauseCPI struct {
 // cause, the paper's performance-loss histogram.
 func Fig4(o Options) Fig4Result {
 	o = o.normalized()
-	res := run(baseConfig(), o)
-	st := res.Stats
+	st := run(baseConfig(), o, KernelSuite).Stats
 	out := Fig4Result{BaseCPI: st.BaseCPI(), Total: st.CPI()}
 	for _, c := range core.Causes() {
 		if c == core.CauseCPU {
@@ -67,16 +66,19 @@ type Fig5Row struct {
 var Fig5AccessTimes = []int{2, 4, 6, 8, 10}
 
 // Fig5 sweeps the four write policies against L2 access time on the
-// base architecture. The paper's claims: write-through policies win
-// below ~8 cycles, write-back wins above; write-only tracks subblock
-// placement closely and beats write-miss-invalidate.
-func Fig5(o Options) []Fig5Row {
+// base architecture, over w. The paper's claims: write-through policies
+// win below ~8 cycles, write-back wins above; write-only tracks
+// subblock placement closely and beats write-miss-invalidate. The
+// kernel suite misses far harder than the paper's compiled programs, so
+// the crossover is validated on PaperCalibrated (~3.5% L1-D miss ratio,
+// 98% write hits), whose ratios match the paper's.
+func Fig5(o Options, w Workload) []Fig5Row {
 	o = o.normalized()
 	policies := []core.WritePolicy{core.WriteBack, core.WriteMissInvalidate, core.WriteOnly, core.Subblock}
 	return sweep(o, len(Fig5AccessTimes)*len(policies), func(i int) Fig5Row {
 		t := Fig5AccessTimes[i/len(policies)]
 		p := policies[i%len(policies)]
-		st := run(fig5Config(p, t), o).Stats
+		st := run(fig5Config(p, t), o, w).Stats
 		return Fig5Row{
 			Policy:     p,
 			AccessTime: t,
@@ -120,28 +122,6 @@ func FormatFig5(rows []Fig5Row) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// Fig5Calibrated repeats the write-policy sweep on the paper-calibrated
-// synthetic workload (~3.5% L1-D miss ratio, 98% write hits). The
-// kernel suite misses far harder than the paper's compiled programs, so
-// the crossover the paper reports at ~8 cycles is validated here, where
-// the workload's ratios match the paper's.
-func Fig5Calibrated(o Options) []Fig5Row {
-	o = o.normalized()
-	policies := []core.WritePolicy{core.WriteBack, core.WriteMissInvalidate, core.WriteOnly, core.Subblock}
-	return sweep(o, len(Fig5AccessTimes)*len(policies), func(i int) Fig5Row {
-		t := Fig5AccessTimes[i/len(policies)]
-		p := policies[i%len(policies)]
-		st := runPaperLike(fig5Config(p, t), o).Stats
-		return Fig5Row{
-			Policy:     p,
-			AccessTime: t,
-			CPI:        st.CPI(),
-			WriteHits:  st.CPIOf(core.CauseL1Write),
-			WBWait:     st.CPIOf(core.CauseWB),
-		}
-	})
 }
 
 // Fig5Crossover returns the smallest swept access time at which

@@ -45,34 +45,18 @@ var Fig6Orgs = []L2Org{
 }
 
 // Fig6 sweeps secondary cache size and organization on the write-only
-// base design. The paper's claims: splitting helps direct-mapped caches
-// of 64 KW and larger; two-way associativity delays the benefit of
-// splitting to much larger sizes.
-func Fig6(o Options) []Fig6Row {
+// base design, over w. The paper's claims: splitting helps
+// direct-mapped caches of 64 KW and larger; two-way associativity
+// delays the benefit of splitting to much larger sizes. PaperCalibrated
+// shows them: its working sets fit the larger caches, so conflict
+// misses, the ones splitting removes, dominate capacity misses, as they
+// did for the paper's workload.
+func Fig6(o Options, w Workload) []Fig6Row {
 	o = o.normalized()
 	return sweep(o, len(Fig6Sizes)*len(Fig6Orgs), func(i int) Fig6Row {
 		size := Fig6Sizes[i/len(Fig6Orgs)]
 		org := Fig6Orgs[i%len(Fig6Orgs)]
-		st := run(fig6Config(size, org), o).Stats
-		return Fig6Row{
-			SizeWords: size,
-			Org:       org,
-			CPI:       st.CPI(),
-			MissRatio: st.L2MissRatio(),
-		}
-	})
-}
-
-// Fig6Calibrated repeats the organization sweep on the paper-calibrated
-// workload, whose working sets fit the larger caches so that conflict
-// misses — the effect splitting removes — dominate capacity misses, as
-// they did for the paper's workload.
-func Fig6Calibrated(o Options) []Fig6Row {
-	o = o.normalized()
-	return sweep(o, len(Fig6Sizes)*len(Fig6Orgs), func(i int) Fig6Row {
-		size := Fig6Sizes[i/len(Fig6Orgs)]
-		org := Fig6Orgs[i%len(Fig6Orgs)]
-		st := runPaperLike(fig6Config(size, org), o).Stats
+		st := run(fig6Config(size, org), o, w).Stats
 		return Fig6Row{
 			SizeWords: size,
 			Org:       org,

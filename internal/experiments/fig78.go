@@ -38,7 +38,7 @@ func Fig7(o Options) []SpeedSizeRow {
 			Timing: core.TimingForAccess(t),
 		}
 		cfg.L2D = core.Base().L2U // 256 KW, 6 cycles
-		st := run(cfg, o).Stats
+		st := run(cfg, o, KernelSuite).Stats
 		return SpeedSizeRow{
 			SizeWords:  size,
 			AccessTime: t,
@@ -63,7 +63,7 @@ func Fig8(o Options) []SpeedSizeRow {
 			Geom:   core.CacheGeom{SizeWords: size, LineWords: 32, Ways: 1},
 			Timing: core.TimingForAccess(t),
 		}
-		st := run(cfg, o).Stats
+		st := run(cfg, o, KernelSuite).Stats
 		return SpeedSizeRow{
 			SizeWords:  size,
 			AccessTime: t,

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // StageRow is one column of the staged-optimization histograms
@@ -47,34 +46,27 @@ func Fig9(o Options) []StageRow {
 		{"+ 8W L1 lines and fetch", fetch8},
 		{"(exchanged L2-I/L2-D shapes)", exchanged},
 	}
-	return runStages(stages, o, run)
+	return runStages(stages, o, KernelSuite)
 }
 
-// runStages simulates labeled configurations (in parallel when o asks)
-// with the given runner and collects stage rows in order.
-func runStages(stages []labeledConfig, o Options, runner func(core.Config, Options) sim.Result) []StageRow {
+// runStages simulates labeled configurations over w (in parallel when
+// o asks) and collects stage rows in order.
+func runStages(stages []labeledConfig, o Options, w Workload) []StageRow {
 	return sweep(o, len(stages), func(i int) StageRow {
-		st := runner(stages[i].cfg, o).Stats
+		st := run(stages[i].cfg, o, w).Stats
 		return StageRow{Label: stages[i].label, CPI: st.CPI(), MemCPI: st.MemoryCPI()}
 	})
 }
 
 // Fig10 reproduces the Section 9 concurrency staging on top of the
-// Fig. 9 design: concurrent I-refill during write-buffer drain, loads
-// passing stores (both the associative and the paper's dirty-bit
-// scheme), and the L2 dirty buffer.
-func Fig10(o Options) []StageRow {
+// Fig. 9 design, over w: concurrent I-refill during write-buffer
+// drain, loads passing stores (both the associative and the paper's
+// dirty-bit scheme), and the L2 dirty buffer. PaperCalibrated's low
+// write-miss and dirty-replacement rates are where the dirty-bit scheme
+// earns the ~95%-of-associative figure the paper quotes.
+func Fig10(o Options, w Workload) []StageRow {
 	o = o.normalized()
-	return runStages(fig10Stages(), o, run)
-}
-
-// Fig10Calibrated repeats the concurrency staging on the
-// paper-calibrated workload, whose low write-miss and dirty-replacement
-// rates are where the dirty-bit scheme earns the ~95%-of-associative
-// figure the paper quotes.
-func Fig10Calibrated(o Options) []StageRow {
-	o = o.normalized()
-	return runStages(fig10Stages(), o, runPaperLike)
+	return runStages(fig10Stages(), o, w)
 }
 
 // optimizedSansConcurrency is the Fig. 9 third column: everything up to

@@ -18,9 +18,9 @@ func TestParallelReportsMatchSerial(t *testing.T) {
 		report func(o Options) string
 	}{
 		{"fig2", func(o Options) string { return FormatFig2(Fig2(o)) }},
-		{"fig6", func(o Options) string { return FormatFig6(Fig6(o)) }},
-		{"table2", func(o Options) string { return FormatTable2(Fig6(o)) }},
-		{"fig5-calibrated", func(o Options) string { return FormatFig5(Fig5Calibrated(o)) }},
+		{"fig6", func(o Options) string { return FormatFig6(Fig6(o, KernelSuite)) }},
+		{"table2", func(o Options) string { return FormatTable2(Fig6(o, KernelSuite)) }},
+		{"fig5-calibrated", func(o Options) string { return FormatFig5(Fig5(o, PaperCalibrated)) }},
 	}
 	for _, f := range figs {
 		serial := f.report(parOpt(0))

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // PerBenchRow profiles one suite member alone on the base architecture.
@@ -25,14 +24,14 @@ type PerBenchRow struct {
 // behind the workload discussion in EXPERIMENTS.md.
 func PerBench(o Options) []PerBenchRow {
 	o = o.normalized()
-	rec := workload.Record(o.Scale)
+	rec := KernelSuite.record(o)
+	sc := o.schedConfig()
+	sc.Level = 1
 	return sweep(o, len(rec), func(i int) PerBenchRow {
 		r := rec[i]
 		cfg := core.Base()
 		cfg.SelfCheck = o.SelfCheck
-		res := must(sim.Run(cfg,
-			[]sched.Process{{Name: r.Name, Stream: r.Trace.NewCursor()}},
-			sched.Config{Level: 1, TimeSlice: o.TimeSlice, MaxInstructions: o.MaxInstructions}))
+		res := must(sim.Run(cfg, []sched.Process{{Name: r.Name, Stream: r.Trace.NewCursor()}}, sc))
 		st := res.Stats
 		return PerBenchRow{
 			Name:    r.Name,

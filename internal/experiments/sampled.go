@@ -19,25 +19,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sample"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
 // runSampled samples the recorded kernel suite on cfg under o.
 func runSampled(cfg core.Config, o Options) sample.Result {
-	rec := workload.Record(o.Scale)
 	cfg.SelfCheck = o.SelfCheck
-	res, err := sample.Run(cfg, workload.ReplayProcesses(rec), sched.Config{
-		Level:           o.Level,
-		TimeSlice:       o.TimeSlice,
-		MaxInstructions: o.MaxInstructions,
-	}, o.Sampling)
-	if err != nil {
-		// Same sanctioned panic path as must: the harness converts it
-		// back into a structured RunError.
-		panic(fmt.Errorf("experiments: %w", err))
-	}
-	return res
+	return must(sample.Run(cfg, workload.ReplayProcesses(KernelSuite.record(o)), o.schedConfig(), o.Sampling))
 }
 
 // SampledCPI is one sampled sweep point: the interval-mean CPI with its

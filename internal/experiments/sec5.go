@@ -65,7 +65,7 @@ func Sec5L1Size(o Options) []L1SizeRow {
 		cfg.L1D.SizeWords = shape.SizeWords
 		cfg.L1D.Ways = shape.Ways
 		cycle := l1CycleNS(shape.SizeWords, shape.Ways)
-		st := run(cfg, o).Stats
+		st := run(cfg, o, KernelSuite).Stats
 		cpi := st.CPI()
 		return L1SizeRow{
 			SizeWords: shape.SizeWords,
@@ -113,9 +113,11 @@ type FetchRow struct {
 var FetchSizes = []int{4, 8, 16}
 
 // Sec8FetchSize sweeps the L1 fetch (= line) size on the split design
-// with the Section 8 transfer rates. The paper: 8 W is optimal for both
-// caches; 16 W loses.
-func Sec8FetchSize(o Options) []FetchRow {
+// with the Section 8 transfer rates, over w. The paper: 8 W is optimal
+// for both caches; 16 W loses. PaperCalibrated, where hot-set reuse
+// rather than streaming dominates, matches the conditions under which
+// the paper found it.
+func Sec8FetchSize(o Options, w Workload) []FetchRow {
 	o = o.normalized()
 	return sweep(o, len(FetchSizes)*len(FetchSizes), func(i int) FetchRow {
 		ifetch := FetchSizes[i/len(FetchSizes)]
@@ -123,24 +125,7 @@ func Sec8FetchSize(o Options) []FetchRow {
 		cfg := optimizedSansConcurrency()
 		cfg.L1I.LineWords = ifetch
 		cfg.L1D.LineWords = dfetch
-		st := run(cfg, o).Stats
-		return FetchRow{IFetch: ifetch, DFetch: dfetch, CPI: st.CPI()}
-	})
-}
-
-// Sec8FetchSizeCalibrated repeats the fetch-size sweep on the
-// paper-calibrated workload, where hot-set reuse rather than streaming
-// dominates, matching the conditions under which the paper found 8 W
-// optimal and 16 W counterproductive.
-func Sec8FetchSizeCalibrated(o Options) []FetchRow {
-	o = o.normalized()
-	return sweep(o, len(FetchSizes)*len(FetchSizes), func(i int) FetchRow {
-		ifetch := FetchSizes[i/len(FetchSizes)]
-		dfetch := FetchSizes[i%len(FetchSizes)]
-		cfg := optimizedSansConcurrency()
-		cfg.L1I.LineWords = ifetch
-		cfg.L1D.LineWords = dfetch
-		st := runPaperLike(cfg, o).Stats
+		st := run(cfg, o, w).Stats
 		return FetchRow{IFetch: ifetch, DFetch: dfetch, CPI: st.CPI()}
 	})
 }

@@ -63,7 +63,7 @@ func TestFetchSizeCalibratedOptimum(t *testing.T) {
 	if testing.Short() {
 		t.Skip("9-config sweep")
 	}
-	rows := Sec8FetchSizeCalibrated(Options{})
+	rows := Sec8FetchSize(Options{}, PaperCalibrated)
 	// At the 8 W instruction fetch, the paper's D-side result: 8 W
 	// beats both 4 W and 16 W.
 	d4, _ := FetchAt(rows, 8, 4)

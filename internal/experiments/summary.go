@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // SummaryRow compares the Section 2 base architecture against the
@@ -25,18 +24,18 @@ func Summary(o Options) []SummaryRow {
 	o = o.normalized()
 	type cell struct {
 		workload string
-		runner   func(core.Config, Options) sim.Result
+		w        Workload
 		cfg      core.Config
 	}
 	// Four independent runs: 2 workloads x {base, optimized}.
 	cells := []cell{
-		{"kernel suite", run, core.Base()},
-		{"kernel suite", run, core.Optimized()},
-		{"paper-calibrated", runPaperLike, core.Base()},
-		{"paper-calibrated", runPaperLike, core.Optimized()},
+		{"kernel suite", KernelSuite, core.Base()},
+		{"kernel suite", KernelSuite, core.Optimized()},
+		{"paper-calibrated", PaperCalibrated, core.Base()},
+		{"paper-calibrated", PaperCalibrated, core.Optimized()},
 	}
 	stats := sweep(o, len(cells), func(i int) core.Stats {
-		return cells[i].runner(cells[i].cfg, o).Stats
+		return run(cells[i].cfg, o, cells[i].w).Stats
 	})
 	rows := make([]SummaryRow, 0, 2)
 	for i := 0; i < len(cells); i += 2 {

@@ -34,10 +34,9 @@ type CoordinatorOptions struct {
 	// DefaultVnodes).
 	Vnodes int
 	// HeartbeatTTL drains a worker after this much silence (default
-	// DefaultHeartbeatTTL).
+	// DefaultHeartbeatTTL). The janitor looks for silent workers every
+	// HeartbeatTTL/2.
 	HeartbeatTTL time.Duration
-	// ExpireInterval is the janitor cadence (default HeartbeatTTL/2).
-	ExpireInterval time.Duration
 	// Replicas is how many ring successors a request may try, the owner
 	// included (default 2: the owner plus one hedge/failover target).
 	// Bounded by the live member count at routing time.
@@ -83,9 +82,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.HeartbeatTTL <= 0 {
 		o.HeartbeatTTL = DefaultHeartbeatTTL
-	}
-	if o.ExpireInterval <= 0 {
-		o.ExpireInterval = o.HeartbeatTTL / 2
 	}
 	if o.Replicas <= 0 {
 		o.Replicas = defaultReplicas
@@ -204,7 +200,7 @@ func coordNow() time.Time { return time.Now() }
 
 // janitor drains workers whose heartbeats stopped.
 func (c *Coordinator) janitor(ctx context.Context) {
-	t := time.NewTicker(c.opts.ExpireInterval)
+	t := time.NewTicker(c.opts.HeartbeatTTL / 2)
 	defer t.Stop()
 	for {
 		select {

@@ -148,17 +148,18 @@ func ExportAll(dir string, o experiments.Options) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	fig6 := experiments.Fig6(o, experiments.PaperCalibrated)
 	tables := []*Table{
 		Fig2Table(experiments.Fig2(o)),
 		Fig3Table(experiments.Fig3(o)),
-		Fig5Table("fig5_suite", experiments.Fig5(o)),
-		Fig5Table("fig5_calibrated", experiments.Fig5Calibrated(o)),
-		Fig6Table("fig6_cpi", experiments.Fig6Calibrated(o), false),
-		Fig6Table("table2_missratio", experiments.Fig6Calibrated(o), true),
+		Fig5Table("fig5_suite", experiments.Fig5(o, experiments.KernelSuite)),
+		Fig5Table("fig5_calibrated", experiments.Fig5(o, experiments.PaperCalibrated)),
+		Fig6Table("fig6_cpi", fig6, false),
+		Fig6Table("table2_missratio", fig6, true),
 		SpeedSizeTable("fig7_l2i", experiments.Fig7(o)),
 		SpeedSizeTable("fig8_l2d", experiments.Fig8(o)),
 		StagesTable("fig9_stages", experiments.Fig9(o)),
-		StagesTable("fig10_stages", experiments.Fig10Calibrated(o)),
+		StagesTable("fig10_stages", experiments.Fig10(o, experiments.PaperCalibrated)),
 	}
 	var written []string
 	for _, t := range tables {

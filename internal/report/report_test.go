@@ -1,6 +1,9 @@
 package report
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,22 +89,33 @@ func TestStagesTable(t *testing.T) {
 	}
 }
 
+// exportDigest is the sha256 of ExportAll's files at a 100k-instruction
+// cap, each hashed as its base name, a newline and its bytes, in the
+// order ExportAll writes them.
+const exportDigest = "d0b050603a5f26f6c8f3a4c9be19819362db77a57462367c76183406eebe0718"
+
+// TestExportAllSmoke requires ExportAll to write its ten CSV files and
+// pins their bytes.
 func TestExportAllSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many sweeps")
 	}
-	dir := t.TempDir()
-	files, err := ExportAll(dir, experiments.Options{MaxInstructions: 100_000})
+	files, err := ExportAll(t.TempDir(), experiments.Options{MaxInstructions: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) != 10 {
 		t.Fatalf("wrote %d files, want 10", len(files))
 	}
+	h := sha256.New()
 	for _, f := range files {
-		fi, err := os.Stat(f)
-		if err != nil || fi.Size() == 0 {
-			t.Errorf("bad export %s: %v", f, err)
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
 		}
+		fmt.Fprintf(h, "%s\n%s", filepath.Base(f), data)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != exportDigest {
+		t.Errorf("CSV export digest = %s, want %s", got, exportDigest)
 	}
 }

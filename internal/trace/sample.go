@@ -1,23 +1,7 @@
 package trace
 
-// Sampling utilities for working with long tapes, in the style of the
-// era's trace-reduction techniques: skipping a warm-up prefix, keeping
-// periodic windows, and splitting a tape at syscall boundaries.
-
-// Skip returns a stream that discards the first n events of s.
-func Skip(s Stream, n int) Stream {
-	remaining := n
-	return FuncStream(func(ev *Event) bool {
-		for remaining > 0 {
-			if !s.Next(ev) {
-				remaining = 0
-				return false
-			}
-			remaining--
-		}
-		return s.Next(ev)
-	})
-}
+// Sampling for long tapes, in the style of the era's trace-reduction
+// techniques: keeping periodic windows.
 
 // Window samples the stream periodically: from every `period` events it
 // yields the first `keep`. keep >= period yields everything.
@@ -41,41 +25,4 @@ func Window(s Stream, keep, period int) Stream {
 			}
 		}
 	})
-}
-
-// SplitAtSyscalls cuts a trace into segments ending at (and including)
-// each voluntary syscall event — the units the scheduler interleaves.
-// The final segment holds any trailing events.
-func SplitAtSyscalls(t *MemTrace) []*MemTrace {
-	var out []*MemTrace
-	events := t.Events()
-	start := 0
-	for i, ev := range events {
-		if ev.Syscall {
-			out = append(out, NewMemTrace(events[start:i+1]))
-			start = i + 1
-		}
-	}
-	if start < len(events) {
-		out = append(out, NewMemTrace(events[start:]))
-	}
-	return out
-}
-
-// CountKinds tallies a stream by reference kind; a cheap summary used
-// when full characterization is overkill.
-func CountKinds(s Stream) (instructions, loads, stores uint64) {
-	var ev Event
-	for s.Next(&ev) {
-		instructions++
-		switch ev.Kind {
-		case Load:
-			loads++
-		case Store:
-			stores++
-		case None:
-			// No data reference; the instruction only counts.
-		}
-	}
-	return
 }

@@ -10,37 +10,6 @@ func seqTrace(n int) *MemTrace {
 	return NewMemTrace(events)
 }
 
-func TestSkip(t *testing.T) {
-	s := Skip(seqTrace(10), 3)
-	var ev Event
-	if !s.Next(&ev) || ev.PC != 12 {
-		t.Fatalf("first event after skip: PC %d, want 12", ev.PC)
-	}
-	n := 1
-	for s.Next(&ev) {
-		n++
-	}
-	if n != 7 {
-		t.Fatalf("skipped stream yielded %d events, want 7", n)
-	}
-}
-
-func TestSkipPastEnd(t *testing.T) {
-	s := Skip(seqTrace(3), 10)
-	var ev Event
-	if s.Next(&ev) {
-		t.Fatal("skip past end yielded an event")
-	}
-}
-
-func TestSkipZero(t *testing.T) {
-	s := Skip(seqTrace(2), 0)
-	var ev Event
-	if !s.Next(&ev) || ev.PC != 0 {
-		t.Fatal("Skip(0) dropped events")
-	}
-}
-
 func TestWindow(t *testing.T) {
 	// keep 2 of every 5: events 0,1,5,6,10,11 of 12.
 	s := Window(seqTrace(12), 2, 5)
@@ -70,42 +39,5 @@ func TestWindowDegenerate(t *testing.T) {
 	}
 	if n != 4 {
 		t.Fatalf("degenerate window yielded %d, want 4", n)
-	}
-}
-
-func TestSplitAtSyscalls(t *testing.T) {
-	events := []Event{
-		{PC: 0}, {PC: 4, Syscall: true},
-		{PC: 8}, {PC: 12}, {PC: 16, Syscall: true},
-		{PC: 20},
-	}
-	segs := SplitAtSyscalls(NewMemTrace(events))
-	if len(segs) != 3 {
-		t.Fatalf("split into %d segments, want 3", len(segs))
-	}
-	if segs[0].Len() != 2 || segs[1].Len() != 3 || segs[2].Len() != 1 {
-		t.Fatalf("segment lengths %d/%d/%d", segs[0].Len(), segs[1].Len(), segs[2].Len())
-	}
-	var ev Event
-	segs[1].Next(&ev)
-	if ev.PC != 8 {
-		t.Fatalf("second segment starts at PC %d, want 8", ev.PC)
-	}
-}
-
-func TestSplitNoSyscalls(t *testing.T) {
-	segs := SplitAtSyscalls(seqTrace(5))
-	if len(segs) != 1 || segs[0].Len() != 5 {
-		t.Fatalf("split of syscall-free trace: %d segments", len(segs))
-	}
-}
-
-func TestCountKinds(t *testing.T) {
-	events := []Event{
-		{Kind: None}, {Kind: Load}, {Kind: Load}, {Kind: Store}, {Kind: None},
-	}
-	in, ld, st := CountKinds(NewMemTrace(events))
-	if in != 5 || ld != 2 || st != 1 {
-		t.Fatalf("CountKinds = %d/%d/%d", in, ld, st)
 	}
 }

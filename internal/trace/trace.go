@@ -180,17 +180,3 @@ func Limit(s Stream, n int) Stream {
 		return s.Next(ev)
 	})
 }
-
-// Concat returns a stream that yields all events of each stream in turn.
-func Concat(streams ...Stream) Stream {
-	i := 0
-	return FuncStream(func(ev *Event) bool {
-		for i < len(streams) {
-			if streams[i].Next(ev) {
-				return true
-			}
-			i++
-		}
-		return false
-	})
-}

@@ -121,27 +121,6 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := NewMemTrace([]Event{{PC: 0}, {PC: 4}})
-	b := NewMemTrace([]Event{{PC: 100}})
-	c := NewMemTrace(nil)
-	s := Concat(a, c, b)
-	var pcs []uint32
-	var ev Event
-	for s.Next(&ev) {
-		pcs = append(pcs, ev.PC)
-	}
-	want := []uint32{0, 4, 100}
-	if len(pcs) != len(want) {
-		t.Fatalf("Concat yielded %v, want %v", pcs, want)
-	}
-	for i := range want {
-		if pcs[i] != want[i] {
-			t.Errorf("event %d PC = %d, want %d", i, pcs[i], want[i])
-		}
-	}
-}
-
 func TestFuncStream(t *testing.T) {
 	n := 0
 	s := FuncStream(func(ev *Event) bool {
